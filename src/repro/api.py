@@ -64,9 +64,7 @@ from repro.faults import (
     TransferCorruption,
     accounting_violations,
     check_instance,
-    default_fault_scenario,
     exhaustive_optimal,
-    run_fault_scenario,
 )
 from repro.fleet import (
     ENGINE_CORES,
@@ -86,6 +84,7 @@ from repro.fleet import (
     capacity_scenario,
     contended_cloud_scenario,
     default_fleet,
+    default_scenario,
     fleet_accounting_violations,
     run_system,
     slo_acceptance_scenario,
@@ -131,9 +130,6 @@ from repro.serving import (
     Gateway,
     MetricsRegistry,
     Request,
-    ScenarioConfig,
-    default_scenario,
-    run_scenario,
 )
 from repro.sim.trace import pipeline_spans, write_pipeline_trace
 from repro.utils.units import mbps
@@ -157,9 +153,6 @@ __all__ = [
     "MetricsRegistry",
     "ClientSpec",
     "Request",
-    "ScenarioConfig",
-    "default_scenario",
-    "run_scenario",
     "BandwidthTimeline",
     # fleet serving behind the unified scenario API (repro.fleet)
     "SystemConfig",
@@ -174,6 +167,7 @@ __all__ = [
     "FleetGateway",
     "run_system",
     "ENGINE_CORES",
+    "default_scenario",
     "default_fleet",
     "capacity_scenario",
     "fleet_accounting_violations",
@@ -200,8 +194,6 @@ __all__ = [
     "TransferCorruption",
     "ClientOutage",
     "CostMisestimation",
-    "default_fault_scenario",
-    "run_fault_scenario",
     "accounting_violations",
     "MonotoneClockMonitor",
     "check_instance",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.cloud.model import CloudGpuModel
 from repro.cloud.server import BATCHING_POLICIES, GPU_ASSIGNMENTS
-from repro.utils.validation import require_positive
+from repro.utils.validation import reject_unknown_keys, require_positive
 
 __all__ = ["CloudConfig"]
 
@@ -67,6 +67,7 @@ class CloudConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CloudConfig":
+        reject_unknown_keys(data, cls)
         model = data.get("model")
         return cls(
             gpus=data.get("gpus", 1),

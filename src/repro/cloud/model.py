@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.utils.validation import require_positive
+from repro.utils.validation import reject_unknown_keys, require_positive
 
 __all__ = ["CloudGpuModel"]
 
@@ -170,6 +170,7 @@ class CloudGpuModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CloudGpuModel":
+        reject_unknown_keys(data, cls)
         return cls(
             name=data.get("name", "batching-gpu"),
             overhead_fraction=data.get("overhead_fraction", 0.35),

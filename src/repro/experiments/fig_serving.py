@@ -16,11 +16,11 @@ structure build, every re-plan after that is a priced-table miss.
 
 from __future__ import annotations
 
-import warnings
+from dataclasses import replace
 
 from repro.engine import PlanningEngine
-from repro.serving.scenario import ScenarioConfig, run_scenario
-from repro.serving.workload import ClientSpec
+from repro.fleet.config import ServerSpec, default_scenario
+from repro.fleet.fleet import run_system
 from repro.utils.rng import DEFAULT_SEED
 
 __all__ = ["run", "render", "LOADS", "PRESETS_MBPS", "SUSTAINABLE_P95_S"]
@@ -52,28 +52,26 @@ def run(
     cells: list[dict] = []
     for preset, rate_mbps in presets.items():
         for load in loads:
-            config = ScenarioConfig(
-                clients=tuple(
-                    ClientSpec(name=f"client{i}", model=model, rate=load)
-                    for i in range(clients)
+            # one flat-uplink gateway; every scheme sees the same stream
+            config = replace(
+                default_scenario(
+                    clients=clients, rate=load, horizon=horizon, model=model, seed=seed
                 ),
-                bandwidth_steps=((0.0, rate_mbps),),
-                horizon=horizon,
-                schemes=SCHEMES,
-                seed=seed,
+                servers=(ServerSpec(name="gateway", bandwidth_steps=((0.0, rate_mbps),)),),
             )
-            with warnings.catch_warnings():
-                # the sweep is locked to the legacy per-scheme report shape
-                warnings.simplefilter("ignore", DeprecationWarning)
-                report = run_scenario(config, planner=planner)
+            reports = {
+                scheme: run_system(replace(config, scheme=scheme), planner=planner)
+                for scheme in SCHEMES
+            }
             cell: dict = {
                 "preset": preset,
                 "mbps": rate_mbps,
                 "load_per_client": load,
-                "offered_rps": report["offered_load_rps"],
+                "offered_rps": reports["JPS"].offered_load_rps,
                 "schemes": {},
             }
-            for scheme, data in report["schemes"].items():
+            for scheme, report in reports.items():
+                data = report.servers["gateway"]["report"]
                 latency = data["histograms"]["latency"]
                 counters = data["counters"]
                 dropped = counters.get("dropped", 0)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from repro.net.timeline import BandwidthTimeline
 from repro.utils.rng import DEFAULT_SEED
 from repro.utils.validation import (
+    reject_unknown_keys,
     require_in_range,
     require_non_negative,
     require_positive,
@@ -228,6 +229,7 @@ class FaultPlan:
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
         """Inverse of :meth:`as_dict` (the ``SystemConfig`` wire format)."""
+        reject_unknown_keys(data, cls)
         corruption = data.get("corruption")
         misestimation = data.get("misestimation")
         return cls(

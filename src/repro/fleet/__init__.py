@@ -24,6 +24,7 @@ from repro.fleet.config import (
     capacity_scenario,
     contended_cloud_scenario,
     default_fleet,
+    default_scenario,
     slo_acceptance_scenario,
     steady_fleet_scenario,
     with_slo_telemetry,
@@ -60,6 +61,7 @@ __all__ = [
     "capacity_scenario",
     "contended_cloud_scenario",
     "default_fleet",
+    "default_scenario",
     "events_by_kind",
     "fleet_accounting_violations",
     "run_system",

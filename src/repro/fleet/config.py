@@ -1,11 +1,8 @@
-"""The unified scenario surface: one ``SystemConfig``, one entry point.
+"""The scenario surface: one ``SystemConfig``, one entry point.
 
-The serving stack had accreted three overlapping ways to describe a
-run — ``serving.ScenarioConfig``/``run_scenario``, the fault-scenario
-knobs of ``faults.run_fault_scenario``, and the ``repro serve`` CLI
-flags. :class:`SystemConfig` collapses them into one JSON-round-trippable
-dataclass hierarchy and adds what none of them could express: a *fleet*
-of edge/cloud servers.
+:class:`SystemConfig` is the one JSON-round-trippable description of a
+run, from a single offload gateway (``repro serve``) to a *fleet* of
+edge/cloud servers (``repro fleet``).
 
 The hierarchy mirrors the questions a run must answer:
 
@@ -20,9 +17,8 @@ The hierarchy mirrors the questions a run must answer:
 * :class:`AdmissionConfig` — fleet-level admission control;
 * :class:`ChannelConfig` — estimator/framing constants shared by every
   uplink;
-* :class:`FaultsConfig` — the old ``run_fault_scenario`` knobs as a
-  sub-config: a fleet-wide fault plan + resilience policy and the
-  policy-vs-no-policy comparison switch;
+* :class:`FaultsConfig` — a fleet-wide fault plan + resilience policy
+  and the policy-vs-no-policy comparison switch;
 * :class:`~repro.cloud.config.CloudConfig` — opt-in shared batching
   cloud: N gateways contend for K hold-and-batch GPUs instead of each
   getting a free private one (absent: pre-batching behavior, golden
@@ -30,10 +26,16 @@ The hierarchy mirrors the questions a run must answer:
 * :class:`ObservabilityConfig` — per-server trace lanes and fleet
   placement/migration instant events.
 
+Every ``from_dict`` rejects a key it does not know (through
+:func:`~repro.utils.validation.reject_unknown_keys`, or the dataclass
+constructor where it takes the dict as keywords), so a misspelled knob
+fails loudly instead of silently keeping its default.
+
 :func:`repro.fleet.run_system` executes a :class:`SystemConfig` and
-returns a :class:`~repro.fleet.fleet.SystemReport`. The old entry
-points remain as thin deprecated wrappers (byte-identical outputs,
-test-locked against ``tests/data/golden_system_compat.json``).
+returns a :class:`~repro.fleet.fleet.SystemReport`. The builders below
+(:func:`default_scenario`, :func:`default_fleet`,
+:func:`blackout_fleet_scenario`, ...) are the acceptance scenarios the
+tests, the CLI and CI run.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from repro.net.timeline import BandwidthTimeline
 from repro.serving.gateway import GATEWAY_SCHEMES
 from repro.serving.workload import ClientSpec
 from repro.utils.rng import DEFAULT_SEED
-from repro.utils.validation import require_positive
+from repro.utils.validation import reject_unknown_keys, require_positive
 
 __all__ = [
     "PLACEMENT_POLICIES",
@@ -62,6 +64,7 @@ __all__ = [
     "FaultsConfig",
     "ObservabilityConfig",
     "SystemConfig",
+    "default_scenario",
     "default_fleet",
     "capacity_scenario",
     "contended_cloud_scenario",
@@ -89,6 +92,21 @@ def _client_as_dict(client: ClientSpec) -> dict:
     }
 
 
+def _poisson_clients(
+    count: int, model: str, rate: float, deadline: float | None
+) -> tuple[ClientSpec, ...]:
+    return tuple(
+        ClientSpec(
+            name=f"client{i}",
+            model=model,
+            process="poisson",
+            rate=rate,
+            deadline=deadline,
+        )
+        for i in range(count)
+    )
+
+
 @dataclass(frozen=True)
 class WorkloadConfig:
     """The request side of a system run: clients, horizon, and seed."""
@@ -112,6 +130,7 @@ class WorkloadConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorkloadConfig":
+        reject_unknown_keys(data, cls)
         return cls(
             clients=tuple(ClientSpec(**c) for c in data["clients"]),
             horizon=data.get("horizon", 60.0),
@@ -196,6 +215,7 @@ class ServerSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ServerSpec":
+        reject_unknown_keys(data, cls)
         plan = data.get("fault_plan")
         policy = data.get("resilience")
         return cls(
@@ -279,13 +299,14 @@ class AdmissionConfig:
 
 @dataclass(frozen=True)
 class FaultsConfig:
-    """The old ``run_fault_scenario`` knobs as a ``SystemConfig`` block.
+    """Fleet-wide fault injection and resilience for a ``SystemConfig``.
 
     ``plan`` applies to every uplink that does not carry its own
     per-server plan; ``resilience`` likewise. ``compare_no_policy``
     reruns the identical arrival stream with every resilience policy
-    stripped and attaches the baseline + comparison to the report —
-    exactly what ``run_fault_scenario`` produced.
+    stripped and attaches the baseline + comparison to the report; it
+    needs at least one server with an effective resilience policy,
+    since otherwise the baseline would be the same run.
     """
 
     plan: FaultPlan | None = None
@@ -302,6 +323,7 @@ class FaultsConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultsConfig":
+        reject_unknown_keys(data, cls)
         plan = data.get("plan")
         policy = data.get("resilience")
         return cls(
@@ -318,8 +340,8 @@ class ObservabilityConfig:
     ``per_server_lanes`` names each gateway so its request/event lanes
     read ``<server>/req N`` in the exported trace; ``fleet_events``
     adds ``fleet/migrate`` and ``fleet/reject`` instant markers. Both
-    are off on the legacy-wrapper path so single-gateway traces stay
-    byte-identical to the pre-fleet code.
+    are off in :func:`default_scenario` so a single gateway's trace
+    reads like a standalone gateway's (golden-locked).
 
     ``telemetry`` turns on the windowed
     :class:`~repro.obs.timeseries.TelemetryHub` (arrival/outcome/queue/
@@ -345,9 +367,10 @@ class ObservabilityConfig:
             "per_server_lanes": self.per_server_lanes,
             "fleet_events": self.fleet_events,
         }
-        # new keys only when set, so legacy config dumps stay unchanged
+        # keys only when set, so default config dumps keep their bytes
         if self.telemetry:
             out["telemetry"] = True
+        if self.telemetry or self.telemetry_bucket != 0.5:
             out["telemetry_bucket"] = self.telemetry_bucket
         if self.slos:
             out["slos"] = [s.as_dict() for s in self.slos]
@@ -355,6 +378,7 @@ class ObservabilityConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ObservabilityConfig":
+        reject_unknown_keys(data, cls)
         return cls(
             per_server_lanes=data.get("per_server_lanes", True),
             fleet_events=data.get("fleet_events", True),
@@ -387,6 +411,15 @@ class SystemConfig:
             raise ValueError(f"server names must be unique, got {names}")
         if self.scheme not in GATEWAY_SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r} (use {GATEWAY_SCHEMES})")
+        if (
+            self.faults is not None
+            and self.faults.compare_no_policy
+            and all(self.resilience_for(s) is None for s in self.servers)
+        ):
+            raise ValueError(
+                "compare_no_policy needs a resilience policy on at least one "
+                "server: without one the no-policy baseline is the same run"
+            )
 
     # ------------------------------------------------------------------
     # effective per-server settings (spec overrides the fleet-wide block)
@@ -443,6 +476,7 @@ class SystemConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemConfig":
+        reject_unknown_keys(data, cls)
         faults = data.get("faults")
         cloud = data.get("cloud")
         return cls(
@@ -457,56 +491,46 @@ class SystemConfig:
             observability=ObservabilityConfig.from_dict(data.get("observability", {})),
         )
 
-    @classmethod
-    def from_scenario(
-        cls,
-        config,
-        scheme: str | None = None,
-        compare_no_policy: bool = False,
-        server_name: str = "gateway",
-    ) -> "SystemConfig":
-        """A single-server system equivalent to a legacy ``ScenarioConfig``.
 
-        ``config`` is duck-typed (any object with the ``ScenarioConfig``
-        attributes) so this module never imports the serving scenario —
-        the legacy wrappers import *us*.
-        """
-        faults = None
-        if config.fault_plan is not None or config.resilience is not None:
-            faults = FaultsConfig(
-                plan=config.fault_plan,
-                resilience=config.resilience,
-                compare_no_policy=compare_no_policy,
-            )
-        return cls(
-            workload=WorkloadConfig(
-                clients=tuple(config.clients),
-                horizon=config.horizon,
-                seed=config.seed,
+def default_scenario(
+    clients: int = 3,
+    rate: float = 2.0,
+    horizon: float = 60.0,
+    model: str = "alexnet",
+    seed: int = DEFAULT_SEED,
+    drop_at: float | None = None,
+    mbps_before: float = 8.0,
+    mbps_after: float = 4.0,
+    deadline: float | None = None,
+) -> SystemConfig:
+    """The single-gateway serving acceptance scenario (``repro serve``).
+
+    ``clients`` Poisson streams of ``rate`` req/s each over one uplink
+    that starts at ``mbps_before`` and drops to ``mbps_after`` at
+    ``drop_at`` (default: mid-horizon) — enough drift to force the JPS
+    gateway through at least one re-plan. Compare schemes by running
+    ``replace(config, scheme=s)`` for each ``s`` through one shared
+    :class:`~repro.engine.PlanningEngine`: every run sees the identical
+    arrival stream. The gateway gets no named trace lanes and the fleet
+    emits no placement markers, so its traces read like a standalone
+    gateway's.
+    """
+    require_positive(clients, "clients")
+    when = horizon / 2 if drop_at is None else drop_at
+    return SystemConfig(
+        workload=WorkloadConfig(
+            clients=_poisson_clients(clients, model, rate, deadline),
+            horizon=horizon,
+            seed=seed,
+        ),
+        servers=(
+            ServerSpec(
+                name="gateway",
+                bandwidth_steps=((0.0, mbps_before), (when, mbps_after)),
             ),
-            servers=(
-                ServerSpec(
-                    name=server_name,
-                    bandwidth_steps=tuple(config.bandwidth_steps),
-                    max_queue_depth=config.max_queue_depth,
-                    nominal_burst=config.nominal_burst,
-                    include_cloud=config.include_cloud,
-                ),
-            ),
-            scheme=scheme if scheme is not None else config.schemes[0],
-            channel=ChannelConfig(
-                ewma_alpha=config.ewma_alpha,
-                drift_threshold=config.drift_threshold,
-                setup_latency=config.setup_latency,
-                header_bytes=config.header_bytes,
-                protocol_overhead=config.protocol_overhead,
-            ),
-            faults=faults,
-            # legacy traces carry no server names or fleet markers
-            observability=ObservabilityConfig(
-                per_server_lanes=False, fleet_events=False
-            ),
-        )
+        ),
+        observability=ObservabilityConfig(per_server_lanes=False, fleet_events=False),
+    )
 
 
 def default_fleet(
@@ -533,16 +557,7 @@ def default_fleet(
     require_positive(clients, "clients")
     return SystemConfig(
         workload=WorkloadConfig(
-            clients=tuple(
-                ClientSpec(
-                    name=f"client{i}",
-                    model=model,
-                    process="poisson",
-                    rate=rate,
-                    deadline=deadline,
-                )
-                for i in range(clients)
-            ),
+            clients=_poisson_clients(clients, model, rate, deadline),
             horizon=horizon,
             seed=seed,
         ),
@@ -646,15 +661,21 @@ def blackout_fleet_scenario(
     deadline: float = 1.0,
     mbps: float = 8.0,
 ) -> SystemConfig:
-    """The PR 5 blackout-degrade-recover scenario as a ``SystemConfig``.
+    """The blackout → degrade → recover fault scenario.
 
-    Same plan/policy numbers as
-    :func:`repro.faults.scenario.default_fault_scenario` (one uplink
-    blacking out for ``blackout_duration`` seconds, detection tuned to
-    two quarter-second timeouts) but built directly on the fleet
-    surface so SLO telemetry can observe it: during the blackout the
-    deadline-hit-rate burn spikes and the SLO alert must fire, then
-    clear once the probe finds the recovered channel.
+    ``clients`` Poisson streams with a relative ``deadline`` over a flat
+    ``mbps`` uplink that blacks out for ``blackout_duration`` seconds at
+    ``blackout_start``. The paired policy is tuned so the blackout is
+    detected well inside the deadline: two timed-out attempts trigger
+    degradation, and quarter-second probes find the recovered channel
+    fast enough to replan within the run.
+
+    ``repro serve --faults`` runs it with
+    ``FaultsConfig(compare_no_policy=True)``: the identical stream is
+    replayed without the policy and the report compares the two. Under
+    SLO telemetry (:func:`slo_acceptance_scenario`) the deadline-hit
+    burn spikes during the blackout, the alert fires, and it clears once
+    the probe finds the recovered channel.
     """
     plan = FaultPlan(
         seed=seed,
@@ -673,16 +694,7 @@ def blackout_fleet_scenario(
     )
     return SystemConfig(
         workload=WorkloadConfig(
-            clients=tuple(
-                ClientSpec(
-                    name=f"client{i}",
-                    model=model,
-                    process="poisson",
-                    rate=rate,
-                    deadline=deadline,
-                )
-                for i in range(clients)
-            ),
+            clients=_poisson_clients(clients, model, rate, deadline),
             horizon=horizon,
             seed=seed,
         ),

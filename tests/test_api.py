@@ -1,5 +1,8 @@
 """The stable ``repro.api`` facade and its top-level re-export."""
 
+import importlib
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -22,6 +25,18 @@ def test_top_level_reexport_is_the_facade():
     assert repro.Schedule is api.Schedule
     with pytest.raises(AttributeError):
         repro.no_such_symbol
+
+
+def test_version_has_one_source():
+    """pyproject reads the package version from ``repro.__version__``."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text())
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    attr = config["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+    module, _, name = attr.rpartition(".")
+    assert getattr(importlib.import_module(module), name) == repro.__version__
 
 
 def test_old_import_paths_still_work():
@@ -81,14 +96,15 @@ def test_plan_matches_core_jps_for_every_zoo_model(name):
 
 def test_serving_surface_reexported():
     """The gateway, estimator, and online scheduler ride the facade."""
-    from repro import serving
+    from repro import fleet, serving
     from repro.extensions import online
 
     assert api.Gateway is serving.Gateway
     assert api.AdaptiveChannelEstimator is serving.AdaptiveChannelEstimator
     assert api.MetricsRegistry is serving.MetricsRegistry
     assert api.ClientSpec is serving.ClientSpec
-    assert api.run_scenario is serving.run_scenario
+    assert api.run_system is fleet.run_system
+    assert api.default_scenario is fleet.default_scenario
     assert api.OnlineJpsScheduler is online.OnlineJpsScheduler
     assert api.ReleasedJob is online.ReleasedJob
     assert api.clairvoyant_makespan is online.clairvoyant_makespan

@@ -138,8 +138,12 @@ def test_serve_json_to_stdout(capsys):
         "--scheme", "JPS", "--json", "-",
     )
     payload = json.loads(out[out.index("{"):])
-    assert payload["schemes"]["JPS"]["balance_ok"] is True
-    assert payload["arrivals"] > 0
+    # one run_system report per scheme, all over the same arrivals
+    assert list(payload["schemes"]) == ["JPS"]
+    report = payload["schemes"]["JPS"]
+    assert report["servers"]["gateway"]["report"]["balance_ok"] is True
+    assert report["arrivals"] > 0
+    assert report["violations"] == [] and report["clock_violations"] == []
 
 
 def test_serve_faults_command(capsys, tmp_path):
@@ -155,9 +159,11 @@ def test_serve_faults_command(capsys, tmp_path):
     assert "policy" in out and "no_policy" in out
     assert "accounting violations 0" in out
     payload = json.loads(artifact.read_text())
+    # run_system's report: the policy run, its no-policy baseline, and
+    # the comparison of the two
     assert payload["comparison"]["degradations"] >= 1
-    assert payload["policy"]["violations"] == []
-    assert payload["no_policy"]["violations"] == []
+    assert payload["violations"] == []
+    assert payload["baseline"]["violations"] == []
 
 
 def test_serve_faults_json_to_stdout(capsys):
@@ -168,8 +174,9 @@ def test_serve_faults_json_to_stdout(capsys):
         "--horizon", "10", "--json", "-",
     )
     payload = json.loads(out[out.index("{"):])
-    assert payload["config"]["fault_plan"]["blackouts"] == [[8.0, 10.0]]
-    assert payload["config"]["resilience"]["local_fallback"] is True
+    assert payload["config"]["faults"]["plan"]["blackouts"] == [[8.0, 10.0]]
+    assert payload["config"]["faults"]["resilience"]["local_fallback"] is True
+    assert payload["config"]["faults"]["compare_no_policy"] is True
 
 
 def test_experiment_serving(capsys):

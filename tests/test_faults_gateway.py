@@ -11,6 +11,7 @@ each policy mechanism in isolation and the strict opt-in contract
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -22,11 +23,10 @@ from repro.faults import (
     ResiliencePolicy,
     TransferCorruption,
     accounting_violations,
-    default_fault_scenario,
-    run_fault_scenario,
 )
+from repro.fleet import blackout_fleet_scenario, default_scenario, run_system
 from repro.net.timeline import BandwidthTimeline
-from repro.serving import Gateway, Request, default_scenario, run_scenario
+from repro.serving import Gateway, Request
 from repro.serving.gateway import MAX_BARE_RETRANSMITS
 
 
@@ -51,9 +51,21 @@ def spread(n: float, every: float = 0.5):
 # acceptance scenario (test-locked)
 # ----------------------------------------------------------------------
 
+def run_fault_comparison() -> dict:
+    """The blackout scenario, policy run vs no-policy baseline."""
+    config = blackout_fleet_scenario()
+    config = replace(config, faults=replace(config.faults, compare_no_policy=True))
+    return run_system(config).as_dict()
+
+
 @pytest.fixture(scope="module")
 def fault_report():
-    return run_fault_scenario(default_fault_scenario())
+    return run_fault_comparison()
+
+
+def gateway_report(side: dict) -> dict:
+    (block,) = side["servers"].values()
+    return block["report"]
 
 
 def test_acceptance_policy_beats_bare_within_deadline(fault_report):
@@ -65,30 +77,29 @@ def test_acceptance_degrades_and_recovers(fault_report):
     comparison = fault_report["comparison"]
     assert comparison["degradations"] >= 1
     assert comparison["recovery_replans"] >= 1
-    kinds = [e.get("kind") for e in fault_report["policy"]["report"]["replans"]]
+    kinds = [e.get("kind") for e in gateway_report(fault_report)["replans"]]
     assert "degrade" in kinds and "recovery" in kinds
 
 
 def test_acceptance_accounting_is_exact(fault_report):
-    for side in ("policy", "no_policy"):
-        assert fault_report[side]["violations"] == []
-        assert fault_report[side]["clock_violations"] == []
-        assert fault_report[side]["report"]["balance_ok"]
-        assert fault_report[side]["report"]["pending"] == 0
+    for side in (fault_report, fault_report["baseline"]):
+        assert side["violations"] == []
+        assert side["clock_violations"] == []
+        assert gateway_report(side)["balance_ok"]
+        assert gateway_report(side)["pending"] == 0
 
 
 def test_acceptance_is_deterministic(fault_report):
-    again = run_fault_scenario(default_fault_scenario())
+    again = run_fault_comparison()
 
     def strip(doc):
         # engine cache counters depend on planner reuse, drop them
         out = json.loads(json.dumps(doc))
-        for side in ("policy", "no_policy"):
-            out[side]["report"].pop("engine_cache", None)
-            out[side]["report"]["counters"] = {
-                k: v
-                for k, v in out[side]["report"]["counters"].items()
-                if not k.startswith("engine_")
+        for side in (out, out["baseline"]):
+            report = gateway_report(side)
+            report.pop("engine_cache", None)
+            report["counters"] = {
+                k: v for k, v in report["counters"].items() if not k.startswith("engine_")
             }
         return out
 
@@ -96,22 +107,26 @@ def test_acceptance_is_deterministic(fault_report):
 
 
 def test_acceptance_report_shape(fault_report):
-    assert fault_report["policy"]["report"]["resilience"]["policy"]["max_retries"] == 1
-    assert fault_report["policy"]["report"]["faults"]["plan"]["blackouts"] == [[8.0, 10.0]]
-    assert fault_report["config"]["fault_plan"]["seed"] == fault_report["config"]["seed"]
+    report = gateway_report(fault_report)
+    assert report["resilience"]["policy"]["max_retries"] == 1
+    assert report["faults"]["plan"]["blackouts"] == [[8.0, 10.0]]
+    config = fault_report["config"]
+    assert config["faults"]["plan"]["seed"] == config["workload"]["seed"]
+    assert "baseline" in fault_report and "comparison" in fault_report
     json.dumps(fault_report)                       # JSON-safe end to end
 
 
 def test_fault_scenario_rejects_incomplete_configs():
-    with pytest.raises(ValueError, match="fault_plan"):
-        run_fault_scenario(default_scenario())
-    from dataclasses import replace
-
-    config = default_fault_scenario()
-    with pytest.raises(ValueError, match="resilience"):
-        run_fault_scenario(replace(config, resilience=None))
-    with pytest.raises(ValueError, match="single scheme"):
-        run_fault_scenario(replace(config, schemes=("JPS", "LO")))
+    # without a policy the no-policy baseline would be the same run
+    config = blackout_fleet_scenario()
+    bare = replace(config.faults, resilience=None, compare_no_policy=True)
+    with pytest.raises(ValueError, match="compare_no_policy needs a resilience"):
+        replace(config, faults=bare)
+    # a per-server policy counts, and a fault-free comparison is valid
+    (server,) = config.servers
+    guarded = (replace(server, resilience=ResiliencePolicy()),)
+    replace(config, servers=guarded, faults=bare)
+    replace(config, servers=guarded, faults=replace(bare, plan=None))
 
 
 # ----------------------------------------------------------------------
@@ -134,9 +149,11 @@ def test_fault_free_report_has_no_fault_surface():
 
 
 def test_fault_free_scenario_echo_is_unchanged():
-    config = default_scenario(horizon=10.0)
-    assert "fault_plan" not in config.as_dict()
-    assert "resilience" not in config.as_dict()
+    echo = default_scenario(horizon=10.0).as_dict()
+    assert "faults" not in echo
+    (server,) = echo["servers"]
+    assert "fault_plan" not in server
+    assert "resilience" not in server
 
 
 # ----------------------------------------------------------------------

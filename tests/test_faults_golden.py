@@ -1,9 +1,11 @@
 """Golden file: the canonical blackout → degrade → recover scenario.
 
-The policy side of :func:`repro.faults.run_fault_scenario` runs under a
-tracer; its replan event log, the degrade/recover/replan instant
-markers from the exported Chrome trace, and the span-structure census
-must byte-match ``tests/data/golden_fault_scenario.json``. A structural
+:func:`repro.fleet.blackout_fleet_scenario` runs through
+:func:`repro.fleet.run_system` with the no-policy comparison, as a
+single gateway with unnamed trace lanes; the policy pass runs under a
+tracer. Its replan event log, the degrade/recover/replan instant
+markers from the exported Chrome trace, the span-structure census and
+the comparison must byte-match ``tests/data/golden_fault_scenario.json``. A structural
 test (degrade strictly inside the blackout, recovery strictly after it)
 cross-checks the same artifact against the scenario's physics, so the
 golden file cannot silently drift into agreement with a broken
@@ -16,9 +18,10 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
-from repro.faults import default_fault_scenario, run_fault_scenario
+from repro.fleet import ObservabilityConfig, blackout_fleet_scenario, run_system
 from repro.obs import Tracer, chrome_trace_events, validate_chrome_events
 
 GOLDEN = Path(__file__).parent / "data" / "golden_fault_scenario.json"
@@ -27,10 +30,22 @@ GOLDEN = Path(__file__).parent / "data" / "golden_fault_scenario.json"
 MARKER_NAMES = ("gateway/degrade", "gateway/recover", "gateway/replan")
 
 
+def golden_config():
+    """The canonical blackout scenario, compared against no policy."""
+    config = blackout_fleet_scenario()
+    return replace(
+        config,
+        faults=replace(config.faults, compare_no_policy=True),
+        # one gateway: unnamed "gateway/..." lanes, no fleet markers
+        observability=ObservabilityConfig(per_server_lanes=False, fleet_events=False),
+    )
+
+
 def golden_document() -> dict:
     """The pinned artifact: replan log + trace markers + span census."""
     tracer = Tracer()
-    report = run_fault_scenario(default_fault_scenario(), tracer=tracer)
+    config = golden_config()
+    report = run_system(config, tracer=tracer)
     events = chrome_trace_events(tracer.spans, tracer.instants)
     validate_chrome_events(events)
     span_counts: Counter = Counter()
@@ -45,18 +60,30 @@ def golden_document() -> dict:
         for e in events
         if e["ph"] == "i" and e["name"] in MARKER_NAMES
     ]
+    assert report.config == config.as_dict()
+    ((_, block),) = report.servers.items()
     return {
-        "blackout": report["config"]["fault_plan"]["blackouts"][0],
-        "comparison": report["comparison"],
-        "replans": report["policy"]["report"]["replans"],
+        "blackout": report.config["faults"]["plan"]["blackouts"][0],
+        "comparison": report.comparison,
+        "replans": block["report"]["replans"],
         "markers": markers,
         "span_counts": dict(sorted(span_counts.items())),
     }
 
 
+def render(document: dict) -> str:
+    return json.dumps(document, indent=1, sort_keys=True) + "\n"
+
+
 def test_golden_fault_scenario_matches_file():
-    document = json.loads(json.dumps(golden_document(), sort_keys=True))
-    assert document == json.loads(GOLDEN.read_text())
+    document = golden_document()
+    golden = json.loads(GOLDEN.read_text())
+    assert set(document) == set(golden)
+    for key, value in golden.items():
+        assert json.dumps(document[key], sort_keys=True) == json.dumps(
+            value, sort_keys=True
+        ), key
+    assert render(document) == GOLDEN.read_text()
 
 
 def test_golden_story_is_physically_consistent():
@@ -94,9 +121,7 @@ def test_golden_span_structure_covers_degraded_service():
 
 
 def main() -> int:
-    GOLDEN.write_text(
-        json.dumps(golden_document(), indent=1, sort_keys=True) + "\n"
-    )
+    GOLDEN.write_text(render(golden_document()))
     print(f"golden fault scenario -> {GOLDEN}")
     return 0
 

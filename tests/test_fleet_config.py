@@ -1,17 +1,19 @@
-"""SystemConfig: the unified scenario surface round-trips through JSON.
+"""SystemConfig: the one run description round-trips through JSON.
 
-The whole point of collapsing the ScenarioConfig / fault-scenario knob
-split into one dataclass hierarchy is that a run is *one* document:
+A run is *one* document:
 ``SystemConfig.from_dict(json.loads(json.dumps(cfg.as_dict()))) == cfg``
 must hold for every combination of blocks, including per-server fault
-plans and the FaultsConfig sub-config that replaced the old
-``run_fault_scenario`` arguments.
+plans and the FaultsConfig sub-config. Decoding is strict: a key no
+``from_dict`` knows is an error, never a silently kept default.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.cloud.config import CloudConfig
+from repro.cloud.model import CloudGpuModel
 from repro.faults.plan import (
     Blackout,
     ClientOutage,
@@ -29,10 +31,13 @@ from repro.fleet import (
     ServerSpec,
     SystemConfig,
     WorkloadConfig,
+    blackout_fleet_scenario,
     capacity_scenario,
+    contended_cloud_scenario,
     default_fleet,
+    default_scenario,
+    with_slo_telemetry,
 )
-from repro.serving.scenario import default_scenario
 from repro.serving.workload import ClientSpec
 
 
@@ -85,25 +90,59 @@ def _rich_config() -> SystemConfig:
 
 
 def test_rich_config_round_trips_through_json():
-    config = _rich_config()
-    wire = json.dumps(config.as_dict(), sort_keys=True)
-    rebuilt = SystemConfig.from_dict(json.loads(wire))
-    assert rebuilt == config
-    # and the round-trip is a fixed point on the wire, too
-    assert json.dumps(rebuilt.as_dict(), sort_keys=True) == wire
+    for config in (
+        _rich_config(),
+        # a non-default bucket must survive even with telemetry off
+        replace(_rich_config(), observability=ObservabilityConfig(telemetry_bucket=1.0)),
+        with_slo_telemetry(contended_cloud_scenario(servers=2, clients=4)),
+    ):
+        wire = json.dumps(config.as_dict(), sort_keys=True)
+        rebuilt = SystemConfig.from_dict(json.loads(wire))
+        assert rebuilt == config
+        # and the round-trip is a fixed point on the wire, too
+        assert json.dumps(rebuilt.as_dict(), sort_keys=True) == wire
+
+
+def test_default_observability_dump_keeps_its_bytes():
+    assert ObservabilityConfig().as_dict() == {
+        "per_server_lanes": True,
+        "fleet_events": True,
+    }
+
+
+@pytest.mark.parametrize(
+    ("cls", "data", "typo"),
+    [
+        (ServerSpec, {"name": "a", "max_queue_dept": 1}, "max_queue_dept"),
+        (SystemConfig, {**default_fleet(servers=1, clients=1).as_dict(), "schem": "LO"},
+         "schem"),
+        (WorkloadConfig, {"clients": [{"name": "c"}], "horizn": 5.0}, "horizn"),
+        (FaultsConfig, {"compare_no_polcy": True}, "compare_no_polcy"),
+        (ObservabilityConfig, {"telemetry_buckt": 1.0}, "telemetry_buckt"),
+        (CloudConfig, {"gpu": 4}, "gpu"),
+        (CloudGpuModel, {"sped": 2.0}, "sped"),
+        (FaultPlan, {"blackout": [[1.0, 2.0]]}, "blackout"),
+    ],
+    ids=lambda value: value.__name__ if isinstance(value, type) else None,
+)
+def test_from_dict_rejects_a_misspelled_key(cls, data, typo):
+    with pytest.raises(ValueError, match=typo):
+        cls.from_dict(data)
 
 
 def test_builders_round_trip_and_are_json_safe():
     for config in (
         default_fleet(servers=3, clients=4, speedups=(1.0, 2.0)),
         capacity_scenario(servers=2, clients=4),
+        default_scenario(clients=2, deadline=2.0),
+        blackout_fleet_scenario(),
     ):
         wire = json.dumps(config.as_dict())  # raises if not JSON-safe
         assert SystemConfig.from_dict(json.loads(wire)) == config
 
 
 def test_faults_config_collapses_the_old_knob_split():
-    """The old run_fault_scenario options live in one sub-config now."""
+    """Fleet-wide plan, policy and the comparison switch: one sub-config."""
     config = _rich_config()
     data = config.as_dict()["faults"]
     assert data["compare_no_policy"] is True
@@ -144,21 +183,19 @@ def test_without_resilience_strips_every_policy():
     assert bare.servers[1].fault_plan is not None
 
 
-def test_from_scenario_matches_the_legacy_fields():
-    legacy = default_scenario(clients=2, rate=1.0, horizon=10.0, deadline=2.0)
-    system = SystemConfig.from_scenario(legacy, scheme="LO")
-    assert system.scheme == "LO"
-    assert system.workload.clients == legacy.clients
-    assert system.workload.horizon == legacy.horizon
-    assert system.workload.seed == legacy.seed
-    (server,) = system.servers
-    assert server.bandwidth_steps == legacy.bandwidth_steps
-    assert server.max_queue_depth == legacy.max_queue_depth
-    assert system.channel.ewma_alpha == legacy.ewma_alpha
-    assert system.faults is None
-    # compat mode keeps the historical single-gateway trace lanes
-    assert system.observability.per_server_lanes is False
-    assert system.observability.fleet_events is False
+def test_default_scenario_is_one_quiet_gateway():
+    config = default_scenario(clients=2, rate=1.0, horizon=10.0, deadline=2.0)
+    assert config.scheme == "JPS"
+    assert [c.name for c in config.workload.clients] == ["client0", "client1"]
+    assert all(c.deadline == 2.0 and c.rate == 1.0 for c in config.workload.clients)
+    (server,) = config.servers
+    assert server.name == "gateway"
+    # the uplink drops from 8 to 4 Mbps at mid-horizon
+    assert server.bandwidth_steps == ((0.0, 8.0), (5.0, 4.0))
+    assert config.faults is None
+    # a single gateway keeps the unnamed standalone trace lanes
+    assert config.observability.per_server_lanes is False
+    assert config.observability.fleet_events is False
 
 
 def test_validation_rejects_bad_configs():

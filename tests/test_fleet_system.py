@@ -1,4 +1,4 @@
-"""run_system end to end: capacity, compat, placement, admission.
+"""run_system end to end: capacity, golden compat, placement, admission.
 
 The two locks that matter most:
 
@@ -9,18 +9,23 @@ The two locks that matter most:
   accounting/clock violations. The counts are pinned: per-server
   dispatch is byte-for-byte the single-gateway code, so any drift here
   is a real behavior change, not noise.
-* **wrapper byte-identity** — ``run_scenario`` and
-  ``run_fault_scenario`` are now thin wrappers over ``run_system``;
-  ``tests/data/golden_system_compat.json`` was captured from the
-  pre-fleet implementations and the wrappers must reproduce it byte
-  for byte (same JSON serialization, same key order under sort_keys).
+* **golden compat** — ``tests/data/golden_system_compat.json`` was
+  captured from the pre-fleet single-gateway implementation. Its
+  ``scenario`` document is :func:`default_scenario` served under JPS, LO
+  and CO through one shared planner; its ``fault`` document is
+  :func:`blackout_fleet_scenario` with the no-policy comparison. Every
+  subtree must equal, as serialized bytes, the ``run_system`` value it
+  came from, and the config echoes must match the ``SystemConfig`` that
+  was run, field by field.
 """
 
 import json
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
+from repro.core.plans import json_safe
 from repro.engine import PlanningEngine
 from repro.faults.plan import Blackout, FaultPlan
 from repro.faults.policy import ResiliencePolicy
@@ -31,13 +36,32 @@ from repro.fleet import (
     ServerSpec,
     SystemConfig,
     WorkloadConfig,
+    blackout_fleet_scenario,
     capacity_scenario,
     default_fleet,
+    default_scenario,
     run_system,
 )
-from repro.serving.workload import ClientSpec
+from repro.serving.gateway import Gateway
+from repro.serving.workload import ClientSpec, generate_requests
 
 GOLDEN = Path(__file__).parent / "data" / "golden_system_compat.json"
+
+#: The schemes of the golden ``scenario`` document, in run order (the
+#: shared planner's cache gauges depend on it).
+GOLDEN_SCHEMES = ("JPS", "LO", "CO")
+
+#: The keys of one side's audit block in the golden ``fault`` document.
+AUDIT_KEYS = ("report", "completed", "within_deadline", "events", "violations")
+
+
+def _bytes(value) -> str:
+    return json.dumps(json_safe(value), sort_keys=True)
+
+
+def _only_server(report) -> dict:
+    (block,) = report.servers.values()
+    return block
 
 
 # ----------------------------------------------------------------------
@@ -68,55 +92,137 @@ def test_fleet_serves_strictly_more_than_single_gateway_under_overload():
 
 
 def test_single_server_fleet_is_exactly_one_gateway():
-    """N=1 run_system equals the legacy gateway run, field for field."""
-    import repro.core.plans as plans
-    from repro.serving.scenario import default_scenario, run_scenario
-
-    legacy_cfg = default_scenario(clients=2, rate=1.0, horizon=12.0, deadline=2.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = run_scenario(legacy_cfg)
-    system = SystemConfig.from_scenario(legacy_cfg, scheme="JPS")
-    report = run_system(system)
-    assert json.dumps(plans.json_safe(report.servers["gateway"]["report"]),
-                      sort_keys=True) == json.dumps(
-        legacy["schemes"]["JPS"], sort_keys=True
-    )
+    """N=1 run_system equals a standalone gateway, field for field."""
+    config = default_scenario(clients=2, rate=1.0, horizon=12.0, deadline=2.0)
+    (spec,) = config.servers
+    workload = config.workload
+    requests = generate_requests(list(workload.clients), workload.horizon, workload.seed)
+    gateway = Gateway(config.timeline_for(spec), planner=PlanningEngine(), scheme="JPS")
+    standalone = gateway.report(gateway.run(requests))
+    report = run_system(config)
+    assert _bytes(report.servers["gateway"]["report"]) == _bytes(standalone)
 
 
 # ----------------------------------------------------------------------
-# wrapper byte-identity against the pre-fleet golden capture
+# golden compat: run_system reproduces the pre-fleet bytes
 # ----------------------------------------------------------------------
 
 
-def test_legacy_wrappers_reproduce_the_pre_fleet_golden_bytes():
-    from repro.faults.scenario import default_fault_scenario, run_fault_scenario
-    from repro.serving.scenario import default_scenario, run_scenario
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        document = {
-            "scenario": run_scenario(
-                default_scenario(clients=2, rate=1.5, horizon=24.0, deadline=2.0)
-            ),
-            "fault": run_fault_scenario(
-                default_fault_scenario(clients=2, rate=2.0, horizon=16.0)
-            ),
-        }
-    produced = json.dumps(document, indent=2, sort_keys=True)
+
+@pytest.fixture(scope="module")
+def golden_scenario():
+    config = default_scenario(clients=2, rate=1.5, horizon=24.0, deadline=2.0)
+    planner = PlanningEngine()
+    reports = {
+        scheme: run_system(replace(config, scheme=scheme), planner=planner)
+        for scheme in GOLDEN_SCHEMES
+    }
+    return config, reports
+
+
+@pytest.fixture(scope="module")
+def golden_fault():
+    config = blackout_fleet_scenario(clients=2, rate=2.0, horizon=16.0)
+    config = replace(config, faults=replace(config.faults, compare_no_policy=True))
+    return config, run_system(config)
+
+
+def _config_echo(config: SystemConfig, schemes: tuple[str, ...]) -> dict:
+    """Where each key of a golden config echo lives in a SystemConfig."""
+    (server,) = config.servers
+    echo = {
+        "clients": config.workload.as_dict()["clients"],
+        "bandwidth_steps": server.as_dict()["bandwidth_steps"],
+        "horizon": config.workload.horizon,
+        "schemes": list(schemes),
+        "seed": config.workload.seed,
+        "max_queue_depth": server.max_queue_depth,
+        "nominal_burst": server.nominal_burst,
+        "include_cloud": server.include_cloud,
+        "ewma_alpha": config.channel.ewma_alpha,
+        "drift_threshold": config.channel.drift_threshold,
+    }
+    if config.faults is not None:
+        echo["fault_plan"] = config.faults.plan.as_dict()
+        echo["resilience"] = config.faults.resilience.as_dict()
+    return echo
+
+
+def _audit_block(report) -> dict:
+    """One side of the golden ``fault`` document, from a SystemReport."""
+    block = _only_server(report)
+    return {
+        **{key: block[key] for key in AUDIT_KEYS},
+        "clock_violations": list(report.clock_violations),
+    }
+
+
+def test_golden_scenario_gateway_reports_match(golden, golden_scenario):
+    config, reports = golden_scenario
+    expected = golden["scenario"]
+    assert list(expected["schemes"]) == sorted(GOLDEN_SCHEMES)
+    for scheme, report in reports.items():
+        assert report.config == replace(config, scheme=scheme).as_dict()
+        assert _bytes(expected["schemes"][scheme]) == _bytes(
+            report.servers["gateway"]["report"]
+        ), scheme
+        assert _bytes(expected["arrivals"]) == _bytes(report.arrivals)
+        assert _bytes(expected["offered_load_rps"]) == _bytes(report.offered_load_rps)
+
+
+def test_golden_fault_audit_blocks_match(golden, golden_fault):
+    config, report = golden_fault
+    expected = golden["fault"]
+    assert report.config == config.as_dict()
+    for side, outcome in (("policy", report), ("no_policy", report.baseline)):
+        assert set(expected[side]) == {*AUDIT_KEYS, "clock_violations"}
+        produced = _audit_block(outcome)
+        for key, value in expected[side].items():
+            assert _bytes(value) == _bytes(produced[key]), (side, key)
+    assert _bytes(expected["comparison"]) == _bytes(report.comparison)
+    assert _bytes(expected["arrivals"]) == _bytes(report.arrivals)
+
+
+def test_golden_config_echoes_match_the_configs_run(golden, golden_scenario, golden_fault):
+    for expected, config, schemes in (
+        (golden["scenario"]["config"], golden_scenario[0], GOLDEN_SCHEMES),
+        (golden["fault"]["config"], golden_fault[0], ("JPS",)),
+    ):
+        echo = _config_echo(config, schemes)
+        assert set(expected) == set(echo)
+        for key, value in expected.items():
+            assert _bytes(value) == _bytes(echo[key]), key
+
+
+def test_golden_compat_file_is_reassembled_byte_for_byte(golden_scenario, golden_fault):
+    """No golden key is left unchecked: the whole file, rebuilt."""
+    scenario_config, reports = golden_scenario
+    fault_config, fault = golden_fault
+    jps = reports["JPS"]
+    document = {
+        "scenario": {
+            "config": _config_echo(scenario_config, GOLDEN_SCHEMES),
+            "arrivals": jps.arrivals,
+            "offered_load_rps": jps.offered_load_rps,
+            "schemes": {
+                scheme: report.servers["gateway"]["report"]
+                for scheme, report in reports.items()
+            },
+        },
+        "fault": {
+            "config": _config_echo(fault_config, ("JPS",)),
+            "arrivals": fault.arrivals,
+            "policy": _audit_block(fault),
+            "no_policy": _audit_block(fault.baseline),
+            "comparison": fault.comparison,
+        },
+    }
+    produced = json.dumps(json_safe(document), indent=2, sort_keys=True)
     assert produced == GOLDEN.read_text().rstrip("\n")
-
-
-def test_legacy_wrappers_warn_deprecation():
-    import pytest
-
-    from repro.faults.scenario import default_fault_scenario, run_fault_scenario
-    from repro.serving.scenario import default_scenario, run_scenario
-
-    with pytest.warns(DeprecationWarning, match="run_system"):
-        run_scenario(default_scenario(clients=1, rate=0.5, horizon=4.0))
-    with pytest.warns(DeprecationWarning, match="run_system"):
-        run_fault_scenario(default_fault_scenario(clients=1, rate=0.5, horizon=6.0))
 
 
 # ----------------------------------------------------------------------

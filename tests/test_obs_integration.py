@@ -13,6 +13,7 @@ import json
 
 from repro.cli import main
 from repro.engine import PlanningEngine
+from repro.fleet import default_scenario, run_system
 from repro.net.bandwidth import TrafficShaper
 from repro.net.channel import Channel
 from repro.obs import (
@@ -23,7 +24,6 @@ from repro.obs import (
     well_formed,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.serving import default_scenario, run_scenario
 from repro.utils.units import mbps
 
 
@@ -36,9 +36,13 @@ def make_channel(uplink_mbps: float) -> Channel:
 
 
 def small_scenario(**overrides):
-    defaults = dict(clients=1, rate=1.0, horizon=10.0, schemes=("JPS",))
+    defaults = dict(clients=1, rate=1.0, horizon=10.0)
     defaults.update(overrides)
     return default_scenario(**defaults)
+
+
+def gateway_report(report) -> dict:
+    return report.as_dict()["servers"]["gateway"]["report"]
 
 
 # ----------------------------------------------------------------------
@@ -97,8 +101,9 @@ def test_engine_to_metrics_publishes_cache_gauges():
 
 def test_traced_scenario_emits_lifecycle_span_per_served_request():
     tracer = Tracer()
-    report = run_scenario(small_scenario(), tracer=tracer)
-    scheme_report = report["schemes"]["JPS"]
+    planner = PlanningEngine(tracer=tracer)
+    report = run_system(small_scenario(), planner=planner, tracer=tracer)
+    scheme_report = gateway_report(report)
     served = scheme_report["counters"]["served"]
     assert served > 0
 
@@ -113,10 +118,8 @@ def test_traced_scenario_emits_lifecycle_span_per_served_request():
         assert request.attributes["latency"] > 0
         assert request.lane == (f"req {request.attributes['request_id']}", "lifecycle")
 
-    # scheme wrapper + planner table builds share the trace: the shared
-    # planner inherits the scenario tracer, so its cold-cache builds
-    # land alongside the virtual-time gateway spans
-    assert any(s.name == "scenario/scheme" for s in tracer.spans)
+    # a planner built on the same tracer lands its cold-cache table
+    # builds alongside the virtual-time gateway spans
     assert any(s.name == "engine/build" for s in tracer.spans)
     assert well_formed(tracer.spans) == []
     events = tracer.chrome_trace()
@@ -125,19 +128,18 @@ def test_traced_scenario_emits_lifecycle_span_per_served_request():
 
 def test_traced_scenario_records_replan_instants():
     tracer = Tracer()
-    report = run_scenario(default_scenario(schemes=("JPS",)), tracer=tracer)
+    logged_replans = gateway_report(run_system(default_scenario(), tracer=tracer))["replans"]
     replans = [i for i in tracer.instants if i.name == "gateway/replan"]
-    assert len(replans) == len(report["schemes"]["JPS"]["replans"])
+    assert len(replans) == len(logged_replans)
     assert replans, "the acceptance scenario must trigger a re-plan"
-    for instant, logged in zip(replans, report["schemes"]["JPS"]["replans"]):
+    for instant, logged in zip(replans, logged_replans):
         assert instant.timestamp == logged["time"]
         assert instant.attributes["new_bps"] == logged["new_bps"]
         assert instant.lane == ("gateway", "events")
 
 
 def test_report_gauges_round_trip_through_exposition():
-    report = run_scenario(small_scenario())
-    scheme_report = report["schemes"]["JPS"]
+    scheme_report = gateway_report(run_system(small_scenario()))
     assert any(k.startswith("engine_cache_") for k in scheme_report["gauges"])
     samples = parse_prometheus(exposition_from_snapshot(scheme_report))
     assert samples["repro_served_total"] == scheme_report["counters"]["served"]
@@ -148,8 +150,7 @@ def test_report_gauges_round_trip_through_exposition():
 
 def test_untraced_scenario_still_reports():
     """The NullTracer default keeps the plain path working unchanged."""
-    report = run_scenario(small_scenario())
-    assert report["schemes"]["JPS"]["balance_ok"]
+    assert gateway_report(run_system(small_scenario()))["balance_ok"]
 
 
 # ----------------------------------------------------------------------
@@ -170,6 +171,20 @@ def test_cli_trace_experiment_writes_valid_chrome_json(tmp_path, capsys):
     }
     assert processes == {"experiments"}
     assert "perfetto" in capsys.readouterr().out
+
+
+def test_cli_trace_serving_groups_each_scheme(tmp_path, capsys):
+    out, prom = tmp_path / "trace.json", tmp_path / "metrics.prom"
+    assert main(["trace", "serving", "--out", str(out), "--prom", str(prom)]) == 0
+    events = json.loads(out.read_text())
+    assert validate_chrome_events(events) == len(events)
+    schemes = [e["args"]["scheme"] for e in events if e["name"] == "scenario/scheme"]
+    assert schemes == ["JPS", "LO", "CO"]
+    # the shared planner traces its cold builds into the same file
+    assert any(e["name"] == "engine/build" for e in events)
+    samples = parse_prometheus(prom.read_text())
+    assert samples["repro_served_total"] > 0
+    assert any(key.startswith("repro_engine_cache") for key in samples)
 
 
 def test_cli_trace_experiment_rejects_prom(tmp_path, capsys):

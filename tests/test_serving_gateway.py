@@ -7,20 +7,14 @@ a better p95 than the all-mobile and all-cloud baselines.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.engine import PlanningEngine
+from repro.fleet import SystemConfig, default_scenario, run_system
 from repro.net.timeline import BandwidthTimeline
-from repro.serving import (
-    AdaptiveChannelEstimator,
-    ClientSpec,
-    Gateway,
-    Request,
-    ScenarioConfig,
-    default_scenario,
-    run_scenario,
-)
+from repro.serving import AdaptiveChannelEstimator, Gateway, Request
 from repro.utils.units import mbps
 
 
@@ -91,15 +85,26 @@ def test_estimator_validation():
 # the acceptance scenario
 # ----------------------------------------------------------------------
 
+def serve_schemes(config: SystemConfig, schemes=("JPS", "LO", "CO")) -> dict:
+    """Each scheme's gateway report over one stream and one shared planner."""
+    planner = PlanningEngine()
+    reports = {}
+    for scheme in schemes:
+        report = run_system(replace(config, scheme=scheme), planner=planner)
+        assert report.ok, report.violations
+        reports[scheme] = report.as_dict()["servers"]["gateway"]["report"]
+    return reports
+
+
 @pytest.fixture(scope="module")
 def acceptance_report():
-    return run_scenario(default_scenario())
+    return serve_schemes(default_scenario())
 
 
 def test_acceptance_accounting_balances(acceptance_report):
-    arrivals = acceptance_report["arrivals"]
+    arrivals = acceptance_report["JPS"]["counters"]["arrived"]
     assert arrivals > 0
-    for scheme, data in acceptance_report["schemes"].items():
+    for scheme, data in acceptance_report.items():
         counters = data["counters"]
         assert data["balance_ok"], scheme
         assert data["pending"] == 0
@@ -108,7 +113,7 @@ def test_acceptance_accounting_balances(acceptance_report):
 
 
 def test_acceptance_triggers_adaptive_replan(acceptance_report):
-    jps = acceptance_report["schemes"]["JPS"]
+    jps = acceptance_report["JPS"]
     assert jps["counters"]["replans"] >= 1
     assert len(jps["replans"]) == jps["counters"]["replans"]
     first = jps["replans"][0]
@@ -120,7 +125,7 @@ def test_acceptance_triggers_adaptive_replan(acceptance_report):
 def test_acceptance_jps_beats_baselines_at_p95(acceptance_report):
     p95 = {
         scheme: data["histograms"]["latency"]["p95"]
-        for scheme, data in acceptance_report["schemes"].items()
+        for scheme, data in acceptance_report.items()
     }
     assert p95["JPS"] < p95["LO"]
     assert p95["JPS"] < p95["CO"]
@@ -132,12 +137,12 @@ def test_acceptance_report_is_json_serializable(acceptance_report):
 
 
 def test_acceptance_is_deterministic(acceptance_report):
-    again = run_scenario(default_scenario())
+    again = serve_schemes(default_scenario())
     # engine cache counters differ run to run (fresh planner), drop them
     def strip(report):
         return {
             scheme: {k: v for k, v in data.items() if k != "engine_cache"}
-            for scheme, data in report["schemes"].items()
+            for scheme, data in report.items()
         }
 
     assert strip(again) == strip(acceptance_report)
@@ -239,14 +244,10 @@ def test_mobile_stage_reuses_cpu_before_upload_finishes():
 
 
 def test_scenario_config_validation():
-    with pytest.raises(ValueError, match="at least one client"):
-        ScenarioConfig(clients=(), bandwidth_steps=((0.0, 8.0),))
-    with pytest.raises(ValueError, match="unknown schemes"):
-        ScenarioConfig(
-            clients=(ClientSpec(name="a"),),
-            bandwidth_steps=((0.0, 8.0),),
-            schemes=("JPS", "EDF"),
-        )
+    with pytest.raises(ValueError, match="clients"):
+        default_scenario(clients=0)
+    with pytest.raises(ValueError, match="unknown scheme"):
+        replace(default_scenario(), scheme="EDF")
 
 
 def test_mass_expiry_burst_drains_every_queued_head():
