@@ -321,16 +321,9 @@ def jps(
     """
     chosen = Structure.coerce(structure)
     if chosen is Structure.AUTO:
-        from repro.dag.topology import is_series_parallel
-        from repro.dag.transform import collapse_clusterable_blocks
+        from repro.engine.engine import classify_structure
 
-        clustered = collapse_clusterable_blocks(network.graph)
-        if clustered.is_line():
-            chosen = Structure.LINE
-        elif is_series_parallel(network.graph):
-            chosen = Structure.FRONTIER
-        else:
-            chosen = Structure.DAG
+        chosen = classify_structure(network.graph)
     if chosen is Structure.LINE:
         table = line_cost_table(network, mobile, cloud, channel, predictor)
         return jps_line(table, n, split=split)

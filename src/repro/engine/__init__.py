@@ -9,7 +9,7 @@ See :mod:`repro.engine.engine` for the cache architecture and
 """
 
 from repro.engine.cache import CacheStats, LRUCache
-from repro.engine.engine import PlanningEngine, PricedModel
+from repro.engine.engine import PlanningEngine, PricedModel, classify_structure
 from repro.engine.keys import (
     channel_fingerprint,
     device_fingerprint,
@@ -24,6 +24,7 @@ __all__ = [
     "PlanningEngine",
     "PricedModel",
     "channel_fingerprint",
+    "classify_structure",
     "device_fingerprint",
     "network_fingerprint",
     "predictor_fingerprint",

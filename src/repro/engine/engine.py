@@ -29,11 +29,11 @@ scheduler pays per decision.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
-
-from typing import Sequence
 
 from repro.core.baselines import cloud_only, local_only, partition_only
 from repro.core.joint import (
@@ -77,10 +77,25 @@ from repro.profiling.latency import (
 from repro.utils.units import BITS_PER_BYTE, mbps
 from repro.utils.validation import require_positive
 
-__all__ = ["PlanningEngine", "PricedModel"]
+__all__ = ["PlanningEngine", "PricedModel", "classify_structure"]
 
 #: Baseline schemes the engine plans besides JPS.
 BASELINES = {"LO": local_only, "CO": cloud_only, "PO": partition_only}
+
+
+def classify_structure(graph: Dag) -> Structure:
+    """The structure ``auto`` resolves to: LINE when virtual-block
+    clustering (§3.2) linearizes the graph, FRONTIER for other
+    series-parallel graphs, DAG past that.
+
+    The one place the decision is made; :func:`repro.core.joint.jps`
+    calls it directly and :meth:`PlanningEngine.structure_of` memoizes it.
+    """
+    if collapse_clusterable_blocks(graph).is_line():
+        return Structure.LINE
+    if is_series_parallel(graph):
+        return Structure.FRONTIER
+    return Structure.DAG
 
 
 def _wrap_frontier_schedule(
@@ -118,37 +133,56 @@ class _LineStructure:
 
 
 @dataclass(frozen=True)
-class _FrontierStructure:
-    """Bandwidth-independent Pareto cut data of a general DAG."""
+class _CutStructure:
+    """Bandwidth-independent Pareto cut data behind a FRONTIER or DAG table.
 
-    cuts: tuple[Cut, ...]
-    f: np.ndarray
-    transfer_bytes: np.ndarray
-    rests: np.ndarray               # cloud time of the part after each cut
-    full_cut_sizes: np.ndarray      # |mobile| per cut (full cut uploads nothing)
-    num_nodes: int
-
-
-@dataclass(frozen=True)
-class _DagStructure:
-    """Bandwidth-independent true-DAG Pareto cut data (shared-once pricing).
-
-    Same columns as :class:`_FrontierStructure`, but the cut space comes
-    from :func:`repro.dag.partition.dag_pareto_cuts` — downward-closed
-    sets of the *original* graph, so it also covers
-    non-series-parallel models the frontier enumeration rejects.
-    ``mode``/``states`` record how the space was generated.
+    FRONTIER cuts come from the series-parallel frontier enumeration,
+    DAG cuts from :func:`repro.dag.partition.dag_pareto_cuts` —
+    downward-closed sets of the *original* graph, which also cover
+    non-series-parallel models. ``mode``/``states`` record how the
+    space was generated.
     """
 
     cuts: tuple[Cut, ...]
     labels: tuple[str, ...]         # disambiguated cut labels
     f: np.ndarray
-    transfer_bytes: np.ndarray
-    rests: np.ndarray
-    full_cut_sizes: np.ndarray
-    num_nodes: int
+    payloads: np.ndarray            # upload bytes per cut (full cut uploads nothing)
+    cloud: np.ndarray               # cloud time of the mobile part, running max
     mode: str
     states: int
+
+    @classmethod
+    def of(
+        cls,
+        graph: Dag,
+        cuts: Sequence[Cut],
+        labels: tuple[str, ...],
+        f: list[float],
+        rests: list[float],
+        mode: str,
+        states: int,
+    ) -> _CutStructure:
+        """Derive the payload and cloud columns of ``cuts``.
+
+        ``rests[i]`` is the cloud time of the part after cut ``i``. The
+        cloud time of the mobile part is not exactly monotone across
+        Pareto cuts; the running max keeps CostTable's invariant.
+        """
+        rest = np.array(rests)
+        return cls(
+            cuts=tuple(cuts),
+            labels=labels,
+            f=np.array(f),
+            payloads=np.array(
+                [
+                    0.0 if len(c.mobile) == len(graph) else float(c.transfer_bytes)
+                    for c in cuts
+                ]
+            ),
+            cloud=np.maximum.accumulate(rest.max() - rest),
+            mode=mode,
+            states=states,
+        )
 
 
 @dataclass(frozen=True)
@@ -236,19 +270,19 @@ class PlanningEngine:
 
     def __post_init__(self) -> None:
         self._networks: dict[str, Network] = {}
-        self._fingerprints: dict[int, str] = {}
+        self._fingerprints: dict[int, tuple[weakref.ref, str]] = {}
         self._structures: dict[str, Structure] = {}
         self._device_key = (
             device_fingerprint(self.mobile),
             device_fingerprint(self.cloud),
         )
         self._lines: LRUCache[_LineStructure] = LRUCache(self.max_entries)
-        self._frontiers: LRUCache[_FrontierStructure] = LRUCache(self.max_entries)
+        self._frontiers: LRUCache[_CutStructure] = LRUCache(self.max_entries)
         self._tables: LRUCache[CostTable] = LRUCache(self.max_entries)
         self._frontier_tables: LRUCache[FrontierTable] = LRUCache(self.max_entries)
         self._alg3: LRUCache[tuple] = LRUCache(self.max_entries)
         self._pricing: LRUCache[_PricingKernel] = LRUCache(self.max_entries)
-        self._dags: LRUCache[_DagStructure] = LRUCache(self.max_entries)
+        self._dags: LRUCache[_CutStructure] = LRUCache(self.max_entries)
         self._dag_tables: LRUCache[DagCutTable] = LRUCache(self.max_entries)
 
     # ------------------------------------------------------------------
@@ -263,11 +297,22 @@ class PlanningEngine:
         return self._networks[model]
 
     def _net_key(self, network: Network) -> str:
-        # fingerprinting walks every node; cache it per network object
+        # fingerprinting walks every node; cache it per live network object.
+        # CPython reuses the id of a collected object, so an entry only
+        # counts while its weak reference still points at ``network``,
+        # and it drops itself when that network is collected
         marker = id(network)
-        if marker not in self._fingerprints:
-            self._fingerprints[marker] = network_fingerprint(network)
-        return self._fingerprints[marker]
+        entry = self._fingerprints.get(marker)
+        if entry is None or entry[0]() is not network:
+            entries = self._fingerprints
+
+            def forget(ref: weakref.ref) -> None:
+                if entries.get(marker, (None,))[0] is ref:
+                    del entries[marker]
+
+            entry = (weakref.ref(network, forget), network_fingerprint(network))
+            entries[marker] = entry
+        return entry[1]
 
     def _base_key(
         self, network: Network, predictor: LayerPredictor | None, predictor_key
@@ -279,19 +324,20 @@ class PlanningEngine:
         )
 
     def structure_of(self, model: str | Network) -> Structure:
-        """``auto`` resolution: LINE when clustering linearizes the graph,
-        FRONTIER for other series-parallel graphs, DAG past that."""
+        """:func:`classify_structure` of ``model``, memoized per network."""
         network = self.resolve(model)
         key = self._net_key(network)
         if key not in self._structures:
-            clustered = collapse_clusterable_blocks(network.graph)
-            if clustered.is_line():
-                self._structures[key] = Structure.LINE
-            elif is_series_parallel(network.graph):
-                self._structures[key] = Structure.FRONTIER
-            else:
-                self._structures[key] = Structure.DAG
+            self._structures[key] = classify_structure(network.graph)
         return self._structures[key]
+
+    def _resolve_structure(
+        self, model: str | Network, structure: str | Structure
+    ) -> Structure:
+        chosen = Structure.coerce(structure)
+        if chosen is Structure.AUTO:
+            chosen = self.structure_of(model)
+        return chosen
 
     def _traced(self, kind: str, model: str, build):
         """Wrap a cache build closure in an ``engine/build`` span.
@@ -340,71 +386,70 @@ class PlanningEngine:
             key, self._traced("line_structure", network.name, build)
         )
 
-    def _frontier_structure(
-        self, network: Network, predictor: LayerPredictor | None, predictor_key
-    ) -> _FrontierStructure:
-        key = ("frontier",) + self._base_key(network, predictor, predictor_key)
-
-        def build() -> _FrontierStructure:
-            # dominance compares (compute, transfer bytes) — both independent
-            # of the channel — so one probe pricing serves every bandwidth
-            probe = Channel(
-                shaper=TrafficShaper(uplink_bps=mbps(10.0), downlink_bps=mbps(20.0))
-            )
-            cuts = enumerate_frontier_cuts(network.graph)
-            costs = cut_costs(network, cuts, self.mobile, self.cloud, probe, predictor)
-            compute_of = {m: c[0] for m, c in costs.items()}
-            surviving = prune_dominated(cuts, compute_of)
-            surviving.sort(key=lambda c: compute_of[c.mobile])
-            return _FrontierStructure(
-                cuts=tuple(surviving),
-                f=np.array([costs[c.mobile][0] for c in surviving]),
-                transfer_bytes=np.array([c.transfer_bytes for c in surviving]),
-                rests=np.array([costs[c.mobile][2] for c in surviving]),
-                full_cut_sizes=np.array([len(c.mobile) for c in surviving]),
-                num_nodes=len(network.graph),
-            )
-
-        return self._frontiers.get_or_build(
-            key, self._traced("frontier_structure", network.name, build)
+    def _cut_structure(
+        self,
+        network: Network,
+        chosen: Structure,
+        predictor: LayerPredictor | None,
+        predictor_key,
+    ) -> _CutStructure:
+        """The Pareto cut space behind ``network``'s FRONTIER or DAG table."""
+        key = (chosen.value,) + self._base_key(network, predictor, predictor_key)
+        if chosen is Structure.FRONTIER:
+            cache, build = self._frontiers, self._frontier_cuts
+        else:
+            cache, build = self._dags, self._dag_cuts
+        return cache.get_or_build(
+            key,
+            self._traced(
+                f"{chosen.value}_structure", network.name, lambda: build(network, predictor)
+            ),
         )
 
-    def _dag_structure(
-        self, network: Network, predictor: LayerPredictor | None, predictor_key
-    ) -> _DagStructure:
-        key = ("dag",) + self._base_key(network, predictor, predictor_key)
+    def _frontier_cuts(
+        self, network: Network, predictor: LayerPredictor | None
+    ) -> _CutStructure:
+        # dominance compares (compute, transfer bytes) — both independent
+        # of the channel — so one probe pricing serves every bandwidth
+        probe = Channel(
+            shaper=TrafficShaper(uplink_bps=mbps(10.0), downlink_bps=mbps(20.0))
+        )
+        cuts = enumerate_frontier_cuts(network.graph)
+        costs = cut_costs(network, cuts, self.mobile, self.cloud, probe, predictor)
+        compute_of = {m: c[0] for m, c in costs.items()}
+        surviving = prune_dominated(cuts, compute_of)
+        surviving.sort(key=lambda c: compute_of[c.mobile])
+        return _CutStructure.of(
+            network.graph,
+            surviving,
+            labels=tuple(c.label for c in surviving),
+            f=[costs[c.mobile][0] for c in surviving],
+            rests=[costs[c.mobile][2] for c in surviving],
+            mode="frontier",
+            states=len(cuts),
+        )
 
-        def build() -> _DagStructure:
-            graph = network.graph
-            mobile_time = {
-                v: node_mobile_time(graph.payload(v), self.mobile, predictor)
-                for v in graph.node_ids
-            }
-            cloud_time = {
-                v: node_mobile_time(graph.payload(v), self.cloud)
-                for v in graph.node_ids
-            }
-            total_cloud = sum(cloud_time.values())
-            cuts, info = dag_pareto_cuts(graph, mobile_time.__getitem__)
-            return _DagStructure(
-                cuts=tuple(cuts),
-                labels=unique_cut_labels(cuts),
-                f=np.array([sum(mobile_time[v] for v in c.mobile) for c in cuts]),
-                transfer_bytes=np.array([c.transfer_bytes for c in cuts]),
-                rests=np.array(
-                    [
-                        total_cloud - sum(cloud_time[v] for v in c.mobile)
-                        for c in cuts
-                    ]
-                ),
-                full_cut_sizes=np.array([len(c.mobile) for c in cuts]),
-                num_nodes=len(graph),
-                mode=info["mode"],
-                states=info["states"],
-            )
-
-        return self._dags.get_or_build(
-            key, self._traced("dag_structure", network.name, build)
+    def _dag_cuts(
+        self, network: Network, predictor: LayerPredictor | None
+    ) -> _CutStructure:
+        graph = network.graph
+        mobile_time = {
+            v: node_mobile_time(graph.payload(v), self.mobile, predictor)
+            for v in graph.node_ids
+        }
+        cloud_time = {
+            v: node_mobile_time(graph.payload(v), self.cloud) for v in graph.node_ids
+        }
+        total_cloud = sum(cloud_time.values())
+        cuts, info = dag_pareto_cuts(graph, mobile_time.__getitem__)
+        return _CutStructure.of(
+            graph,
+            cuts,
+            labels=unique_cut_labels(cuts),
+            f=[sum(mobile_time[v] for v in c.mobile) for c in cuts],
+            rests=[total_cloud - sum(cloud_time[v] for v in c.mobile) for c in cuts],
+            mode=info["mode"],
+            states=info["states"],
         )
 
     # ------------------------------------------------------------------
@@ -455,38 +500,7 @@ class PlanningEngine:
         enumeration and dominance pruning are paid once per
         (network, devices, predictor) rather than per call.
         """
-        network = self.resolve(model)
-        key = (
-            ("table-frontier",)
-            + self._base_key(network, predictor, predictor_key)
-            + (channel_fingerprint(channel),)
-        )
-
-        def build() -> FrontierTable:
-            structure = self._frontier_structure(network, predictor, predictor_key)
-            g = np.array(
-                [
-                    channel.uplink_time(b) if b > 0 else 0.0
-                    for b in structure.transfer_bytes
-                ]
-            )
-            g[structure.full_cut_sizes == structure.num_nodes] = 0.0
-            cloud_of_mobile = np.maximum.accumulate(
-                structure.rests.max() - structure.rests
-            )
-            table = CostTable(
-                model_name=f"{network.name}/frontier",
-                positions=tuple(c.label for c in structure.cuts),
-                f=structure.f.copy(),
-                g=g,
-                cloud=cloud_of_mobile,
-                graph=None,
-            )
-            return FrontierTable(table=table, cuts=structure.cuts)
-
-        return self._frontier_tables.get_or_build(
-            key, self._traced("frontier_table", network.name, build)
-        )
+        return self._cut_table(model, channel, Structure.FRONTIER, predictor, predictor_key)
 
     def dag_table(
         self,
@@ -502,42 +516,45 @@ class PlanningEngine:
         tail, full cut uploads nothing, cloud column in running-max
         form. See ``docs/dag.md``.
         """
+        return self._cut_table(model, channel, Structure.DAG, predictor, predictor_key)
+
+    def _cut_table(
+        self,
+        model: str | Network,
+        channel: Channel,
+        chosen: Structure,
+        predictor: LayerPredictor | None,
+        predictor_key,
+    ) -> FrontierTable | DagCutTable:
+        """Price a FRONTIER or DAG cut structure through ``channel``."""
         network = self.resolve(model)
         key = (
-            ("table-dag",)
+            (f"table-{chosen.value}",)
             + self._base_key(network, predictor, predictor_key)
             + (channel_fingerprint(channel),)
         )
 
-        def build() -> DagCutTable:
-            structure = self._dag_structure(network, predictor, predictor_key)
-            g = np.array(
-                [
-                    channel.uplink_time(b) if b > 0 else 0.0
-                    for b in structure.transfer_bytes
-                ]
-            )
-            g[structure.full_cut_sizes == structure.num_nodes] = 0.0
-            cloud_of_mobile = np.maximum.accumulate(
-                structure.rests.max() - structure.rests
-            )
+        def build() -> FrontierTable | DagCutTable:
+            structure = self._cut_structure(network, chosen, predictor, predictor_key)
             table = CostTable(
-                model_name=f"{network.name}/dag",
+                model_name=f"{network.name}/{chosen.value}",
                 positions=structure.labels,
                 f=structure.f.copy(),
-                g=g,
-                cloud=cloud_of_mobile,
+                g=np.array(
+                    [channel.uplink_time(b) if b > 0 else 0.0 for b in structure.payloads]
+                ),
+                cloud=structure.cloud.copy(),
                 graph=None,
             )
+            if chosen is Structure.FRONTIER:
+                return FrontierTable(table=table, cuts=structure.cuts)
             return DagCutTable(
-                table=table,
-                cuts=structure.cuts,
-                mode=structure.mode,
-                states=structure.states,
+                table=table, cuts=structure.cuts, mode=structure.mode, states=structure.states
             )
 
-        return self._dag_tables.get_or_build(
-            key, self._traced("dag_table", network.name, build)
+        cache = self._frontier_tables if chosen is Structure.FRONTIER else self._dag_tables
+        return cache.get_or_build(
+            key, self._traced(f"{chosen.value}_table", network.name, build)
         )
 
     def cost_table(
@@ -549,16 +566,12 @@ class PlanningEngine:
         predictor_key=None,
     ) -> CostTable:
         """The model's planning table under ``structure`` resolution."""
-        chosen = Structure.coerce(structure)
-        if chosen is Structure.AUTO:
-            chosen = self.structure_of(model)
+        chosen = self._resolve_structure(model, structure)
         if chosen is Structure.LINE:
             return self.line_table(model, channel, predictor, predictor_key)
-        if chosen is Structure.FRONTIER:
-            return self.frontier_table(model, channel, predictor, predictor_key).table
-        if chosen is Structure.DAG:
-            return self.dag_table(model, channel, predictor, predictor_key).table
-        raise ValueError("Alg. 3 plans per-path tables; use plan(structure='paths')")
+        if chosen is Structure.PATHS:
+            raise ValueError("Alg. 3 plans per-path tables; use plan(structure='paths')")
+        return self._cut_table(model, channel, chosen, predictor, predictor_key).table
 
     # ------------------------------------------------------------------
     # bandwidth-vectorized pricing
@@ -581,37 +594,19 @@ class PlanningEngine:
 
         def build() -> _PricingKernel:
             if chosen is Structure.LINE:
-                structure = self._line_structure(network, predictor, predictor_key)
-                payloads = structure.volumes.astype(float)
+                line = self._line_structure(network, predictor, predictor_key)
+                payloads = line.volumes.astype(float)
                 model_name = network.name
-                positions: tuple[str, ...] = structure.order
-                f, cloud = structure.f, structure.cloud
-                graph, cuts = structure.graph, None
-            elif chosen is Structure.DAG:
-                dag = self._dag_structure(network, predictor, predictor_key)
-                payloads = np.where(
-                    dag.full_cut_sizes == dag.num_nodes,
-                    0.0,
-                    dag.transfer_bytes.astype(float),
-                )
-                model_name = f"{network.name}/dag"
-                positions = dag.labels
-                f = dag.f
-                cloud = np.maximum.accumulate(dag.rests.max() - dag.rests)
-                graph, cuts = None, dag.cuts
+                positions: tuple[str, ...] = line.order
+                f, cloud = line.f, line.cloud
+                graph, cuts = line.graph, None
             else:
-                frontier = self._frontier_structure(network, predictor, predictor_key)
-                # the full cut keeps everything mobile: nothing crosses
-                payloads = np.where(
-                    frontier.full_cut_sizes == frontier.num_nodes,
-                    0.0,
-                    frontier.transfer_bytes.astype(float),
-                )
-                model_name = f"{network.name}/frontier"
-                positions = tuple(c.label for c in frontier.cuts)
-                f = frontier.f
-                cloud = np.maximum.accumulate(frontier.rests.max() - frontier.rests)
-                graph, cuts = None, frontier.cuts
+                cut = self._cut_structure(network, chosen, predictor, predictor_key)
+                payloads = cut.payloads
+                model_name = f"{network.name}/{chosen.value}"
+                positions = cut.labels
+                f, cloud = cut.f, cut.cloud
+                graph, cuts = None, cut.cuts
             # same operation order as Channel.uplink_time, element by element
             wire_bits = np.where(
                 payloads > 0,
@@ -633,14 +628,6 @@ class PlanningEngine:
         return self._pricing.get_or_build(
             key, self._traced("pricing_kernel", network.name, build)
         )
-
-    def _resolve_structure(
-        self, model: str | Network, structure: str | Structure
-    ) -> Structure:
-        chosen = Structure.coerce(structure)
-        if chosen is Structure.AUTO:
-            chosen = self.structure_of(model)
-        return chosen
 
     def priced_table(
         self,
@@ -883,9 +870,7 @@ class PlanningEngine:
                 f"unknown scheme {scheme!r} (use 'JPS', 'LO', 'CO' or 'PO')"
             )
 
-        chosen = Structure.coerce(structure)
-        if chosen is Structure.AUTO:
-            chosen = self.structure_of(network)
+        chosen = self._resolve_structure(network, structure)
         if chosen is Structure.LINE:
             table = self.line_table(network, channel, predictor, predictor_key)
             return jps_line(table, n, split=split)

@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.joint import jps_line
-from repro.core.scheduling import flow_shop_makespan, schedule_jobs
+from repro.core.scheduling import schedule_jobs
 from repro.experiments.runner import ExperimentEnv
-from repro.net.bandwidth import BandwidthPreset, FOUR_G
+from repro.net.bandwidth import FOUR_G, BandwidthPreset
 from repro.profiling.latency import line_cost_table
 from repro.profiling.lookup import build_lookup_table
 from repro.utils.rng import make_rng

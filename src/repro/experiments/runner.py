@@ -1,33 +1,28 @@
-"""Shared experiment environment: devices, channels, cached cost tables.
+"""Shared experiment environment: devices, channels, cost tables.
 
 Every figure/table harness runs on the same :class:`ExperimentEnv` so
 the schemes are compared under identical cost models. The environment
-caches the bandwidth-independent structure of each model — the
-linearized graph (or the Pareto cut set for general DAGs, whose
-dominance relation is bandwidth-invariant because upload time is
-monotone in payload bytes) — and instantiates per-bandwidth cost tables
-cheaply, which keeps the Fig. 13 sweep over 80 bandwidths fast.
+owns one :class:`~repro.engine.PlanningEngine`, which decides each
+model's structure (line, series-parallel frontier or DAG) and memoizes
+the bandwidth-independent cut space behind it; per-bandwidth cost
+tables are priced from that cache, which keeps the Fig. 13 sweep over
+80 bandwidths fast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.core.baselines import cloud_only, local_only, partition_only
-from repro.core.joint import jps_line
+from repro.core.joint import Structure, jps_line
 from repro.core.plans import Schedule
-from repro.engine import PlanningEngine
-from repro.dag.cuts import Cut, enumerate_frontier_cuts, prune_dominated
-from repro.dag.transform import collapse_clusterable_blocks
+from repro.dag.partition import dag_schedule_from_table
+from repro.engine.engine import BASELINES, PlanningEngine
 from repro.net.bandwidth import BandwidthPreset, TrafficShaper
 from repro.net.channel import Channel
 from repro.nn.network import Network
-from repro.nn.zoo import get_model
 from repro.obs.tracer import NullTracer, Tracer
 from repro.profiling.device import DeviceModel, gtx1080_server, raspberry_pi_4
-from repro.profiling.latency import CostTable, cut_costs, line_cost_table
+from repro.profiling.latency import CostTable
 from repro.utils.units import mbps
 
 __all__ = ["ExperimentEnv", "SCHEMES", "EXPERIMENT_MODELS"]
@@ -40,19 +35,8 @@ SCHEMES = ["LO", "CO", "PO", "JPS"]
 
 
 @dataclass
-class _FrontierStructure:
-    """Bandwidth-independent Pareto cut data for a general DAG."""
-
-    cuts: list[Cut]
-    f: np.ndarray
-    transfer_bytes: np.ndarray
-    cloud_of_mobile: np.ndarray
-    full_cut_index: int
-
-
-@dataclass
 class ExperimentEnv:
-    """Deterministic experiment context with model/table caches."""
+    """Deterministic experiment context planning through one engine."""
 
     mobile: DeviceModel = field(default_factory=raspberry_pi_4)
     cloud: DeviceModel = field(default_factory=gtx1080_server)
@@ -60,18 +44,15 @@ class ExperimentEnv:
     tracer: Tracer | NullTracer = field(default_factory=NullTracer)
 
     def __post_init__(self) -> None:
-        self._networks: dict[str, Network] = {}
-        self._is_line: dict[str, bool] = {}
-        self._frontier: dict[str, _FrontierStructure] = {}
         self._engine: PlanningEngine | None = None
 
     @property
     def engine(self) -> PlanningEngine:
         """A lazily-built planning engine on this env's device pair.
 
-        Backs the batched sweep path (:meth:`run_scheme_batch`); its
-        tables are bit-identical to :meth:`cost_table`, so batched and
-        per-cell results interchange freely.
+        Every structure decision, network and cost table of this env
+        comes from it, so :meth:`run_scheme` and :meth:`run_scheme_batch`
+        plan on the same tables.
         """
         if self._engine is None:
             self._engine = PlanningEngine(
@@ -81,9 +62,7 @@ class ExperimentEnv:
 
     # ------------------------------------------------------------------
     def network(self, name: str) -> Network:
-        if name not in self._networks:
-            self._networks[name] = get_model(name)
-        return self._networks[name]
+        return self.engine.resolve(name)
 
     def channel(self, bandwidth: BandwidthPreset | float) -> Channel:
         """A channel at a preset or a raw uplink rate in Mbps."""
@@ -101,61 +80,18 @@ class ExperimentEnv:
 
     def treats_as_line(self, name: str) -> bool:
         """True if virtual-block clustering linearizes the model (§3.2)."""
-        if name not in self._is_line:
-            clustered = collapse_clusterable_blocks(self.network(name).graph)
-            self._is_line[name] = clustered.is_line()
-        return self._is_line[name]
-
-    # ------------------------------------------------------------------
-    def _frontier_structure(self, name: str) -> _FrontierStructure:
-        if name not in self._frontier:
-            network = self.network(name)
-            probe = self.channel(10.0)  # bandwidth only affects g, not dominance
-            cuts = enumerate_frontier_cuts(network.graph)
-            costs = cut_costs(network, cuts, self.mobile, self.cloud, probe)
-            compute_of = {m: c[0] for m, c in costs.items()}
-            surviving = prune_dominated(cuts, compute_of)
-            surviving.sort(key=lambda c: compute_of[c.mobile])
-            rests = np.array([costs[c.mobile][2] for c in surviving])
-            self._frontier[name] = _FrontierStructure(
-                cuts=surviving,
-                f=np.array([costs[c.mobile][0] for c in surviving]),
-                transfer_bytes=np.array([c.transfer_bytes for c in surviving]),
-                cloud_of_mobile=np.maximum.accumulate(rests.max() - rests),
-                full_cut_index=int(
-                    np.argmax([len(c.mobile) for c in surviving])
-                ),
-            )
-        return self._frontier[name]
+        return self.engine.structure_of(name) is Structure.LINE
 
     def cost_table(self, name: str, bandwidth: BandwidthPreset | float) -> CostTable:
         """The model's cost table at the given bandwidth.
 
-        Line-clusterable models get the clustered line table; general
-        DAGs (GoogLeNet) get the Pareto-frontier table, which every
-        scheme (LO, CO, PO, JPS) consumes identically — PO on the
-        frontier is the DAG generalization of the Neurosurgeon cut.
+        Line-clusterable models get the clustered line table, other
+        series-parallel DAGs (GoogLeNet) the Pareto-frontier table and
+        the rest the true-DAG cut table; every scheme (LO, CO, PO, JPS)
+        consumes it identically — PO on a cut table is the DAG
+        generalization of the Neurosurgeon cut.
         """
-        channel = self.channel(bandwidth)
-        if self.treats_as_line(name):
-            return line_cost_table(
-                self.network(name), self.mobile, self.cloud, channel
-            )
-        structure = self._frontier_structure(name)
-        g = np.array(
-            [
-                channel.uplink_time(b) if b > 0 else 0.0
-                for b in structure.transfer_bytes
-            ]
-        )
-        return CostTable(
-            model_name=f"{name}/frontier",
-            positions=tuple(c.label for c in structure.cuts),
-            f=structure.f.copy(),
-            g=g,
-            cloud=structure.cloud_of_mobile.copy(),
-            graph=None,
-        )
+        return self.engine.cost_table(name, self.channel(bandwidth))
 
     # ------------------------------------------------------------------
     def run_scheme(
@@ -175,18 +111,16 @@ class ExperimentEnv:
     def _run_scheme(
         self, name: str, bandwidth: BandwidthPreset | float, n: int, scheme: str
     ) -> Schedule:
-        table = self.cost_table(name, bandwidth)
-        if scheme == "LO":
-            return local_only(table, n)
-        if scheme == "CO":
-            return cloud_only(table, n)
-        if scheme == "PO":
-            return partition_only(table, n)
-        if scheme == "JPS":
-            return jps_line(table, n)
-        if scheme == "JPS-ratio":
-            return jps_line(table, n, split="ratio")
-        raise ValueError(f"unknown scheme {scheme!r}")
+        channel = self.channel(bandwidth)
+        if scheme in BASELINES:
+            return BASELINES[scheme](self.engine.cost_table(name, channel), n)
+        if scheme not in ("JPS", "JPS-ratio"):
+            raise ValueError(f"unknown scheme {scheme!r}")
+        if self.engine.structure_of(name) is Structure.DAG:
+            dag = self.engine.dag_table(name, channel)
+            return dag_schedule_from_table(dag.table, dag.cuts, n, model=name)
+        split = "ratio" if scheme == "JPS-ratio" else "exact"
+        return jps_line(self.engine.cost_table(name, channel), n, split=split)
 
     def run_scheme_batch(
         self,

@@ -18,9 +18,9 @@ from repro.dag.partition import (
 from repro.engine import PlanningEngine
 from repro.net.bandwidth import TrafficShaper
 from repro.net.channel import Channel
-from repro.nn.layers import Add, Conv2d, ReLU
-from repro.nn.network import Network, NetworkBuilder
 from repro.utils.units import mbps
+
+from tests.helpers import non_sp_network
 
 
 def diamond() -> Dag:
@@ -40,18 +40,6 @@ DIAMOND_TIMES = {"a": 1.0, "b": 4.0, "c": 4.0, "d": 4.0}
 
 def upload(num_bytes: float) -> float:
     return num_bytes * 0.005
-
-
-def non_sp_network() -> Network:
-    """A non-series-parallel net: one branch feeds two different merges."""
-    b = NetworkBuilder("nonsp", input_shape=(3, 32, 32))
-    a = b.add(Conv2d(32, kernel=3, padding="same"), name="conv_a")
-    p = b.add(Conv2d(2, kernel=1), name="conv_p", inputs=(a,))
-    q = b.add(Conv2d(2, kernel=1), name="conv_q", inputs=(a,))
-    r = b.add(Add(), name="add_r", inputs=(p, q))
-    t = b.add(ReLU(), name="relu_t", inputs=(p,))
-    b.add(Add(), name="add_out", inputs=(r, t))
-    return b.build()
 
 
 def make_channel(uplink_mbps: float) -> Channel:

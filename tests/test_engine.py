@@ -1,5 +1,7 @@
 """PlanningEngine: memoized caches are exact, keyed, bounded, observable."""
 
+import gc
+
 import pytest
 
 from repro.core.joint import jps
@@ -109,6 +111,27 @@ def test_engine_matches_core_jps(engine, name):
     assert [p.cut_position for p in cached.jobs] == [
         p.cut_position for p in direct.jobs
     ]
+
+
+def test_collected_network_ids_do_not_leak_fingerprints(engine):
+    """A network allocated at a dead network's id gets its own plan."""
+    channel = make_channel(8.0)
+    names = ["line-dnn", "mini-inception"]
+    direct = {
+        name: jps(get_model(name), engine.mobile, engine.cloud, channel, n=10)
+        for name in names
+    }
+    mismatches = 0
+    for i in range(200):
+        name = names[i % 2]
+        cached = engine.plan(get_model(name), 10, channel)
+        mismatches += (cached.method, cached.makespan) != (
+            direct[name].method,
+            direct[name].makespan,
+        )
+        gc.collect()
+    assert mismatches == 0
+    assert len(engine._fingerprints) <= len(names)
 
 
 @pytest.mark.parametrize("scheme", ["LO", "CO", "PO", "JPS"])

@@ -1,11 +1,14 @@
 """Experiment harnesses: shapes of every figure/table (small, fast configs)."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import repro.dag.transform
 from repro.experiments import fig4, fig11, fig12, fig13, fig14, table1
 from repro.experiments.report import format_series, format_table, reduction_vs
-from repro.experiments.runner import EXPERIMENT_MODELS
+from repro.experiments.runner import EXPERIMENT_MODELS, ExperimentEnv
 from repro.net.bandwidth import FOUR_G, THREE_G, WIFI
 
 
@@ -42,6 +45,27 @@ def test_env_classifies_structures(env):
     assert env.treats_as_line("mobilenet-v2")
     assert env.treats_as_line("resnet18")
     assert not env.treats_as_line("googlenet")
+
+
+def test_env_clusters_each_model_once(monkeypatch):
+    """The structure verdict, cost table and batch plan share one clustering."""
+    original = repro.dag.transform.collapse_clusterable_blocks
+    calls = []
+
+    def counting(dag):
+        calls.append(dag.name)
+        return original(dag)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro") and (
+            getattr(module, "collapse_clusterable_blocks", None) is original
+        ):
+            monkeypatch.setattr(module, "collapse_clusterable_blocks", counting)
+    fresh = ExperimentEnv()
+    assert not fresh.treats_as_line("googlenet")
+    fresh.cost_table("googlenet", 10.0)
+    fresh.run_scheme_batch("googlenet", [10.0], 8, "JPS")
+    assert calls == ["googlenet"]
 
 
 def test_env_cost_table_caches_frontier(env):

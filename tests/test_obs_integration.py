@@ -163,13 +163,19 @@ def test_cli_trace_experiment_writes_valid_chrome_json(tmp_path, capsys):
     assert main(["trace", "experiment", "--out", str(out)]) == 0
     events = json.loads(out.read_text())
     assert validate_chrome_events(events) == len(events)
-    cells = [e for e in events if e["ph"] == "X"]
-    assert cells and all(e["name"] == "experiment/cell" for e in cells)
+    spans = [e for e in events if e["ph"] == "X"]
+    cells = [e for e in spans if e["name"] == "experiment/cell"]
     assert {e["args"]["model"] for e in cells} == {"alexnet", "googlenet"}
+    # the env plans through its engine, which traces each cold build once
+    builds = [e for e in spans if e["name"] == "engine/build"]
+    assert len(cells) + len(builds) == len(spans)
+    assert ("googlenet", "frontier_table") in {
+        (e["args"]["model"], e["args"]["kind"]) for e in builds
+    }
     processes = {
         e["args"]["name"] for e in events if e.get("name") == "process_name"
     }
-    assert processes == {"experiments"}
+    assert processes == {"experiments", "engine"}
     assert "perfetto" in capsys.readouterr().out
 
 

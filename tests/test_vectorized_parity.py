@@ -39,9 +39,11 @@ from repro.engine import PlanningEngine
 from repro.experiments.runner import ExperimentEnv
 from repro.net.bandwidth import WIFI, TrafficShaper
 from repro.net.channel import Channel
+from repro.nn.zoo import MODELS
+from repro.nn.zoo.inception import inception_v4
 from repro.utils.units import mbps
 
-from tests.helpers import make_table
+from tests.helpers import make_table, non_sp_network
 
 # Dyadic rationals: cumsum of these is exactly representable, so the
 # closed-form kernel must match the scalar recurrence bit for bit.
@@ -183,6 +185,30 @@ def test_plan_batch_matches_per_cell_run_scheme(batch_env, model, scheme):
             p.cut_position for p in theirs.jobs
         ]
         assert [p.stages for p in ours.jobs] == [p.stages for p in theirs.jobs]
+
+
+def _small_inception_v4():
+    return inception_v4(name="inception-v4-111", a_modules=1, b_modules=1, c_modules=1)
+
+
+@pytest.mark.parametrize("factory", [non_sp_network, _small_inception_v4])
+def test_run_scheme_matches_batch_on_non_series_parallel_models(monkeypatch, factory):
+    """Both env paths plan DAG-structured models on the same DAG table."""
+    name = factory().name
+    monkeypatch.setitem(MODELS, name, factory)
+    env = ExperimentEnv()
+    bandwidths = [1.0, 10.0]
+    for scheme in BATCH_SCHEMES:
+        batch = env.run_scheme_batch(name, bandwidths, 10, scheme)
+        for bandwidth, ours in zip(bandwidths, batch):
+            theirs = env.run_scheme(name, bandwidth, 10, scheme)
+            assert ours.method == theirs.method
+            assert ours.makespan == theirs.makespan
+            assert [p.cut_position for p in ours.jobs] == [
+                p.cut_position for p in theirs.jobs
+            ]
+            assert [p.stages for p in ours.jobs] == [p.stages for p in theirs.jobs]
+    assert env.run_scheme(name, 10.0, 10, "JPS").method == "JPS-dag"
 
 
 def _channel_at(uplink_bps: float) -> Channel:
