@@ -26,7 +26,7 @@ evaluated.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import product
 
@@ -79,12 +79,25 @@ def cut_edge_tails(dag: Dag, mobile: Iterable[str]) -> list[str]:
     that cut labels and trace output are stable.
     """
     mobile_set = set(mobile)
-    tails = {
+    tails = [
         tail
         for tail in mobile_set
         if any(head not in mobile_set for head in dag.successors(tail))
-    }
-    return [v for v in dag.topological_order() if v in tails]
+    ]
+    tails.sort(key=dag.topological_index().__getitem__)
+    return tails
+
+
+def _tails_bytes(dag: Dag, tails: list[str], mobile_set: set[str] | frozenset[str]) -> float:
+    """Upload volume of ``tails``: each tail's largest crossing edge, once."""
+    total = 0.0
+    for tail in tails:
+        total += max(
+            dag.volume(tail, head)
+            for head in dag.successors(tail)
+            if head not in mobile_set
+        )
+    return total
 
 
 def cut_transfer_bytes(dag: Dag, mobile: Iterable[str]) -> float:
@@ -95,15 +108,7 @@ def cut_transfer_bytes(dag: Dag, mobile: Iterable[str]) -> float:
     layer graphs) is charged a single time.
     """
     mobile_set = set(mobile)
-    total = 0.0
-    for tail in cut_edge_tails(dag, mobile_set):
-        volumes = [
-            dag.volume(tail, head)
-            for head in dag.successors(tail)
-            if head not in mobile_set
-        ]
-        total += max(volumes)
-    return total
+    return _tails_bytes(dag, cut_edge_tails(dag, mobile_set), mobile_set)
 
 
 def make_cut(dag: Dag, mobile: Iterable[str], label: str = "") -> Cut:
@@ -111,11 +116,12 @@ def make_cut(dag: Dag, mobile: Iterable[str], label: str = "") -> Cut:
     mobile_set = frozenset(mobile)
     if not is_downward_closed(dag, mobile_set):
         raise ValueError(f"cut {label or sorted(mobile_set)[:4]} is not downward-closed")
-    frontier = tuple(cut_edge_tails(dag, mobile_set))
+    tails = cut_edge_tails(dag, mobile_set)
+    frontier = tuple(tails)
     return Cut(
         mobile=mobile_set,
         frontier=frontier,
-        transfer_bytes=cut_transfer_bytes(dag, mobile_set),
+        transfer_bytes=_tails_bytes(dag, tails, mobile_set),
         label=label or ("empty" if not mobile_set else f"after:{'+'.join(frontier)}"),
     )
 
@@ -127,23 +133,24 @@ def _closure_up_to(dag: Dag, node: str) -> frozenset[str]:
 
 def _block_cut_sets(
     dag: Dag, block: ParallelBlock, base: frozenset[str]
-) -> list[frozenset[str]]:
-    """All cuts threading through ``block``: one position per branch.
+) -> Iterator[frozenset[str]]:
+    """Yield every cut threading through ``block``: one position per branch.
 
     Position ``p`` on a branch keeps its first ``p`` interior nodes on the
     mobile side. The all-zero combination duplicates "cut after entry"
-    and is skipped (the caller already emitted it).
+    and is skipped (the caller already emitted it). The all-full one,
+    "cut just before exit", is included. The product has
+    Π(|branch| + 1) terms, so the sets are yielded one at a time and a
+    caller's cap can stop the walk early.
     """
-    sets: list[frozenset[str]] = []
     ranges = [range(len(branch) + 1) for branch in block.branches]
     for combo in product(*ranges):
-        if all(p == 0 for p in combo):
+        if not any(combo):
             continue
         mobile = set(base)
         for branch, position in zip(block.branches, combo):
             mobile.update(branch[:position])
-        sets.append(frozenset(mobile))
-    return sets
+        yield frozenset(mobile)
 
 
 def enumerate_frontier_cuts(

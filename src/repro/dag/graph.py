@@ -17,8 +17,9 @@ test-suite as an independent oracle for graph invariants.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any
 
 __all__ = ["Dag", "Edge", "CycleError"]
@@ -48,6 +49,11 @@ class Dag:
     Nodes and edges iterate in insertion order, which keeps every
     downstream algorithm (topological sort, path enumeration, schedule
     tie-breaking) deterministic for a given construction sequence.
+
+    The topological order is computed once and memoized together with a
+    node -> position index; :meth:`add_node` and :meth:`add_edge`, the
+    only structural mutators, drop the memo. It takes no part in ``==``
+    or ``repr``, and :meth:`copy` starts without it.
     """
 
     name: str = "dag"
@@ -55,6 +61,9 @@ class Dag:
     _succ: dict[str, list[str]] = field(default_factory=dict, repr=False)
     _pred: dict[str, list[str]] = field(default_factory=dict, repr=False)
     _volumes: dict[tuple[str, str], float] = field(default_factory=dict, repr=False)
+    _topo: tuple[list[str], dict[str, int]] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     # ------------------------------------------------------------------
     # construction
@@ -68,6 +77,7 @@ class Dag:
         self._payloads[node_id] = payload
         self._succ[node_id] = []
         self._pred[node_id] = []
+        self._topo = None
         return node_id
 
     def add_edge(self, tail: str, head: str, volume: float = 0.0) -> None:
@@ -84,6 +94,7 @@ class Dag:
         self._succ[tail].append(head)
         self._pred[head].append(tail)
         self._volumes[(tail, head)] = float(volume)
+        self._topo = None
 
     # ------------------------------------------------------------------
     # accessors
@@ -165,8 +176,22 @@ class Dag:
         """Kahn's algorithm; deterministic (insertion-order tie-break).
 
         Raises :class:`CycleError` if the graph contains a cycle, so any
-        caller holding a topological order may assume acyclicity.
+        caller holding a topological order may assume acyclicity. The
+        order is memoized; each call returns a fresh list.
         """
+        return list(self._topology()[0])
+
+    def topological_index(self) -> Mapping[str, int]:
+        """Read-only node -> position map of :meth:`topological_order`."""
+        return MappingProxyType(self._topology()[1])
+
+    def _topology(self) -> tuple[list[str], dict[str, int]]:
+        if self._topo is None:
+            order = self._kahn()
+            self._topo = (order, {v: i for i, v in enumerate(order)})
+        return self._topo
+
+    def _kahn(self) -> list[str]:
         in_deg = {v: len(self._pred[v]) for v in self._payloads}
         ready = [v for v in self._payloads if in_deg[v] == 0]
         order: list[str] = []

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.dag.cuts import cut_transfer_bytes
+from repro.dag.cuts import _block_cut_sets, cut_transfer_bytes
 from repro.dag.graph import Dag
 from repro.dag.topology import (
     ParallelBlock,
@@ -119,30 +119,102 @@ def _cluster_line(dag: Dag) -> Dag:
     return clustered
 
 
+def _closed_form_volumes(dag: Dag, block: ParallelBlock) -> tuple[float, float] | None:
+    """``(entry tensor, minimum interior cut volume)`` in linear time.
+
+    Applies when the block's interior is a forest of out-trees hanging
+    off ``entry`` — every interior node has in-degree 1 and its
+    successors are interior nodes or exactly ``[exit]`` — and every
+    node's out-edges, ``entry``'s included, carry one volume (its output
+    tensor). Returns ``None`` for any other block.
+
+    An interior cut keeps a non-empty downward-closed set ``S`` of the
+    forest on the mobile side. A node of ``S`` uploads its tensor iff a
+    child (or, for a leaf, ``exit``) is outside ``S``; so the cheapest
+    way to keep a subtree's root is ``best(v) = min(tensor(v),
+    Σ_children best(c))``, with ``best(leaf) = tensor(leaf)``. ``entry``
+    uploads iff the bypass ``entry -> exit`` exists or a root is left
+    out. Keeping every root costs ``A = Σ_roots best(r) + E·[bypass]``;
+    with two or more roots, the cheapest cut that leaves one out keeps
+    only the cheapest root, ``B = E + min_r best(r)``. The minimum is
+    ``min(A, B)``. It adds the same volumes as the enumeration in another
+    order, which is exact for whole-byte volumes (every zoo model).
+    """
+    entry, exit_ = block.entry, block.exit
+    interior = block.interior_nodes()
+    tensor: dict[str, float] = {}
+    for v in (entry, *interior):
+        volumes = {dag.volume(v, w) for w in dag.successors(v)}
+        if len(volumes) != 1:
+            return None
+        tensor[v] = volumes.pop()
+    entry_succ = dag.successors(entry)
+    if any(w != exit_ and w not in interior for w in entry_succ):
+        return None
+    children: dict[str, list[str]] = {}
+    for v in interior:
+        preds = dag.predecessors(v)
+        if len(preds) != 1 or (preds[0] != entry and preds[0] not in interior):
+            return None
+        succ = dag.successors(v)
+        if succ == [exit_]:
+            children[v] = []
+        elif all(w in interior for w in succ):
+            children[v] = succ
+        else:
+            return None
+    best: dict[str, float] = {}
+    for v in sorted(interior, key=dag.topological_index().__getitem__, reverse=True):
+        below = children[v]
+        best[v] = min(tensor[v], sum(best[c] for c in below)) if below else tensor[v]
+    roots = [w for w in entry_succ if w != exit_]
+    entry_bytes = tensor[entry]
+    bypass = entry_bytes if dag.has_edge(entry, exit_) else 0.0
+    minimum = sum(best[r] for r in roots) + bypass
+    if len(roots) >= 2:
+        minimum = min(minimum, entry_bytes + min(best[r] for r in roots))
+    return entry_bytes, minimum
+
+
+def _enumerated_volumes(dag: Dag, block: ParallelBlock) -> tuple[float, float]:
+    """``(entry cut volume, minimum interior cut volume)`` by enumeration.
+
+    Prices all Π(|branch| + 1) - 1 interior cuts; the general fallback
+    of :func:`should_cluster_block` and the oracle of its closed form.
+    """
+    base = frozenset(dag.ancestors(block.entry) | {block.entry})
+    entry_bytes = cut_transfer_bytes(dag, base)
+    interior = _block_cut_sets(dag, block, base)
+    minimum = min(cut_transfer_bytes(dag, mobile) for mobile in interior)
+    return entry_bytes, minimum
+
+
 def should_cluster_block(dag: Dag, block: ParallelBlock) -> bool:
     """True if every cut inside ``block`` is dominated by the entry cut.
 
-    Any interior cut computes strictly more than "cut after entry" on the
-    mobile device, so it is dominated as soon as it also uploads at least
-    as many bytes. We therefore cluster iff the *minimum* interior
-    transfer volume is >= the entry cut's volume. This reproduces the
-    paper's case analysis: MobileNet-v2 bottleneck modules (whose bypass
-    edge forces every interior cut to re-upload the entry tensor) are
-    clustered; deep GoogLeNet Inception modules (whose 1x1 reductions
-    shrink branch tensors below the entry volume) are not.
+    An interior cut keeps ``entry`` and at least one interior node on the
+    mobile side, possibly every interior node ("cut just before exit");
+    ``exit`` itself stays on the cloud. Any such cut computes strictly
+    more than "cut after entry" on the mobile device, so it is dominated
+    as soon as it also uploads at least as many bytes. We therefore
+    cluster iff the *minimum* interior transfer volume is >= the entry
+    cut's volume. This reproduces the paper's case analysis:
+    MobileNet-v2 bottleneck modules (whose bypass edge forces every
+    interior cut to re-upload the entry tensor) are clustered; deep
+    GoogLeNet Inception modules (whose 1x1 reductions shrink branch
+    tensors below the entry volume) are not.
+
+    The minimum comes from a linear-time tree DP when the interior is a
+    forest of out-trees with one tensor per node (every zoo block, see
+    :func:`_closed_form_volumes`), and from enumerating every interior
+    cut otherwise.
     """
     if block.is_trivial:
         return False
-    base = dag.ancestors(block.entry) | {block.entry}
-    entry_bytes = cut_transfer_bytes(dag, base)
-
-    from repro.dag.cuts import _block_cut_sets  # local: avoid import cycle at module load
-
-    interior = _block_cut_sets(dag, block, frozenset(base))
-    # exclude the all-full combination: it is "cut before exit", which has
-    # *less* mobile compute than any cut containing exit and is a genuine
-    # alternative, but it is still interior to the block for our purpose.
-    min_bytes = min(cut_transfer_bytes(dag, mobile) for mobile in interior)
+    volumes = _closed_form_volumes(dag, block)
+    if volumes is None:
+        volumes = _enumerated_volumes(dag, block)
+    entry_bytes, min_bytes = volumes
     return min_bytes >= entry_bytes
 
 
@@ -175,21 +247,21 @@ def _collapse(dag: Dag, predicate, name_suffix: str) -> Dag:
     order = dag.topological_order()
 
     # Decide, per block, whether it collapses; build the new node list.
-    collapsing = [b for b in blocks if not b.is_trivial and predicate(dag, b)]
-    absorbed: dict[str, ParallelBlock] = {}
-    for b in collapsing:
-        for v in b.interior_nodes() | {b.exit}:
-            absorbed[v] = b
+    index = dag.topological_index()
+    absorbed: dict[str, tuple[ParallelBlock, tuple[str, ...]]] = {}
+    for b in blocks:
+        if b.is_trivial or not predicate(dag, b):
+            continue
+        members = tuple(sorted(b.interior_nodes() | {b.exit}, key=index.__getitem__))
+        for v in members:
+            absorbed[v] = (b, members)
 
     new_id_of: dict[str, str] = {}
     for v in order:
         if v in absorbed:
-            block = absorbed[v]
+            block, members = absorbed[v]
             if v != block.exit:
                 continue  # interior nodes appear inside the exit's virtual block
-            members = tuple(
-                m for m in order if m in block.interior_nodes() or m == block.exit
-            )
             payloads = tuple(dag.payload(m) for m in members)
             node_id = f"block:{block.entry}->{block.exit}"
             result.add_node(node_id, VirtualBlock(members=members, payloads=payloads))

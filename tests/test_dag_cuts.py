@@ -1,5 +1,7 @@
 """Cut semantics and frontier enumeration."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,6 +94,44 @@ def test_enumerate_cut_cap():
     g = residual()
     with pytest.raises(ValueError, match="more than 2"):
         enumerate_frontier_cuts(g, max_cuts=2)
+
+
+def fan_block(branches: int, length: int) -> Dag:
+    """``entry`` fanning out into ``branches`` disjoint chains of ``length``."""
+    g = Dag(name=f"fan-{branches}x{length}")
+    g.add_node("in")
+    g.add_node("entry")
+    g.add_node("exit")
+    g.add_edge("in", "entry", 100)
+    for b in range(branches):
+        prev = "entry"
+        for i in range(length):
+            node = g.add_node(f"b{b}.{i}")
+            g.add_edge(prev, node, 100 if prev == "entry" else 10 + i)
+            prev = node
+        g.add_edge(prev, "exit", 10 + length)
+    return g
+
+
+def test_enumerate_cut_cap_fires_before_the_block_product():
+    """A 10^5-position block hits a cap of 100 without building the product."""
+    g = fan_block(branches=5, length=9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than 100"):
+            enumerate_frontier_cuts(g, max_cuts=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+def test_make_cut_matches_standalone_pricing():
+    g = fan_block(branches=3, length=2)
+    order = g.topological_order()
+    for cut in enumerate_frontier_cuts(g):
+        assert cut.transfer_bytes == cut_transfer_bytes(g, cut.mobile)
+        assert list(cut.frontier) == [v for v in order if v in cut.frontier]
 
 
 def test_exhaustive_cut_space_tiny():

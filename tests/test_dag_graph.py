@@ -152,3 +152,45 @@ def test_matches_networkx_topology():
     assert nx.is_directed_acyclic_graph(nxg)
     assert set(nx.ancestors(nxg, "d")) == g.ancestors("d")
     assert set(nx.descendants(nxg, "a")) == g.descendants("a")
+
+
+# ----------------------------------------------------------------------
+# memoized topological order
+# ----------------------------------------------------------------------
+
+def test_topological_order_follows_mutation_after_read():
+    g = diamond()
+    assert g.topological_order() == ["a", "b", "c", "d"]
+    g.add_node("z")
+    assert g.topological_order() == ["a", "z", "b", "c", "d"]
+    g.add_edge("d", "z")
+    assert g.topological_order() == ["a", "b", "c", "d", "z"]
+    assert dict(g.topological_index()) == {"a": 0, "b": 1, "c": 2, "d": 3, "z": 4}
+
+
+def test_topological_order_returns_fresh_list():
+    g = diamond()
+    order = g.topological_order()
+    order.reverse()
+    order.append("junk")
+    assert g.topological_order() == ["a", "b", "c", "d"]
+    with pytest.raises(TypeError):
+        g.topological_index()["a"] = 7  # type: ignore[index]
+
+
+def test_memo_does_not_affect_equality_or_repr():
+    cold, warm = diamond(), diamond()
+    warm.topological_order()
+    assert cold == warm
+    assert repr(cold) == repr(warm)
+
+
+def test_copy_does_not_share_memo():
+    g = diamond()
+    g.topological_order()
+    clone = g.copy()
+    clone.add_node("e")
+    clone.add_edge("d", "e")
+    assert g.topological_order() == ["a", "b", "c", "d"]
+    assert clone.topological_order() == ["a", "b", "c", "d", "e"]
+    assert "e" not in g.topological_index()

@@ -1,5 +1,7 @@
 """Virtual-block clustering and the Fig.-9 path conversion."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,8 @@ from repro.dag.graph import Dag
 from repro.dag.topology import PathExplosionError, count_paths, parallel_blocks
 from repro.dag.transform import (
     VirtualBlock,
+    _closed_form_volumes,
+    _enumerated_volumes,
     cluster_line_cut_points,
     collapse_clusterable_blocks,
     expand_members,
@@ -15,7 +19,7 @@ from repro.dag.transform import (
     should_cluster_block,
     to_independent_paths,
 )
-from repro.nn.zoo import branchy_dnn
+from repro.nn.zoo import MODELS, branchy_dnn, get_model
 
 
 # ----------------------------------------------------------------------
@@ -90,6 +94,100 @@ def test_reducing_branch_block_does_not_cluster():
     block = next(b for b in parallel_blocks(g) if not b.is_trivial)
     # best interior cut = 30 + 40 = 70 < entry 100
     assert not should_cluster_block(g, block)
+
+
+@st.composite
+def forest_blocks(draw):
+    """``in -> entry -> (out-forest) -> exit -> out`` with integer tensors.
+
+    Interior node ``i`` hangs off ``entry`` or an earlier node, so the
+    forest ranges over chain branches and shared-prefix trees; a bypass
+    ``entry -> exit`` is added when drawn or when ``entry`` would have a
+    single root (a separator, and no block). Half the graphs get one
+    edge out of a node with two or more out-edges made heavier; the
+    closed form must refuse those unequal volumes.
+    """
+    size = draw(st.integers(1, 7))
+    parents = [draw(st.integers(-1, i - 1)) for i in range(size)]  # -1: entry
+    tensors = draw(st.lists(st.integers(0, 60), min_size=size + 1, max_size=size + 1))
+    entry_bytes, tensors = tensors[0], tensors[1:]
+    bypass = draw(st.booleans()) or parents.count(-1) < 2
+    edges = [("in", "entry", 100)]
+    for i, parent in enumerate(parents):
+        if parent < 0:
+            edges.append(("entry", f"n{i}", entry_bytes))
+        else:
+            edges.append((f"n{parent}", f"n{i}", tensors[parent]))
+    edges += [(f"n{i}", "exit", tensors[i]) for i in range(size) if i not in parents]
+    if bypass:
+        edges.append(("entry", "exit", entry_bytes))
+    edges.append(("exit", "out", 100))
+    if draw(st.booleans()):
+        tails = [tail for tail, _, _ in edges]
+        fanned = [k for k, tail in enumerate(tails) if tails.count(tail) >= 2]
+        k = draw(st.sampled_from(fanned))
+        tail, head, volume = edges[k]
+        edges[k] = (tail, head, volume + draw(st.integers(1, 30)))
+    g = Dag(name="forest")
+    for v in ("in", "entry", *(f"n{i}" for i in range(size)), "exit", "out"):
+        g.add_node(v)
+    for tail, head, volume in edges:
+        g.add_edge(tail, head, volume)
+    return g
+
+
+def assert_closed_form_matches_enumeration(g: Dag, block) -> None:
+    closed = _closed_form_volumes(g, block)
+    entry_bytes, minimum = _enumerated_volumes(g, block)
+    if closed is not None:
+        assert closed == (entry_bytes, minimum)
+    assert should_cluster_block(g, block) == (minimum >= entry_bytes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(forest_blocks())
+def test_closed_form_matches_enumeration_on_random_blocks(g):
+    blocks = [b for b in parallel_blocks(g) if not b.is_trivial]
+    assert blocks[0].entry == "entry"
+    for block in blocks:
+        owners = {block.entry} | block.interior_nodes()
+        uniform = all(len({g.volume(v, w) for w in g.successors(v)}) == 1 for v in owners)
+        assert (_closed_form_volumes(g, block) is None) == (not uniform)
+        assert_closed_form_matches_enumeration(g, block)
+
+
+#: Inception-v4's C blocks enumerate 24,300 interior positions each.
+_INCEPTION_C_EXITS = {"C0.concat", "C1.concat", "C2.concat"}
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_closed_form_matches_enumeration_on_zoo_blocks(name):
+    g = get_model(name).graph
+    for block in parallel_blocks(g):
+        if block.is_trivial:
+            continue
+        assert _closed_form_volumes(g, block) is not None, (name, block.entry)
+        if name == "inception-v4" and block.exit in _INCEPTION_C_EXITS:
+            assert math.prod(len(b) + 1 for b in block.branches) == 24_300
+            continue
+        assert_closed_form_matches_enumeration(g, block)
+
+
+def test_closed_form_refuses_a_join_inside_the_block():
+    """An interior node with two predecessors is not an out-forest."""
+    g = Dag(name="join")
+    for v in ("in", "entry", "a", "b", "c", "d", "exit"):
+        g.add_node(v)
+    g.add_edge("in", "entry", 9)
+    for head in ("a", "b", "d"):
+        g.add_edge("entry", head, 9)
+    g.add_edge("a", "c", 4)
+    g.add_edge("b", "c", 4)
+    g.add_edge("c", "exit", 2)
+    g.add_edge("d", "exit", 3)
+    (block,) = (b for b in parallel_blocks(g) if not b.is_trivial)
+    assert _closed_form_volumes(g, block) is None
+    assert should_cluster_block(g, block) is False  # enumerated: 2 + 3 < 9
 
 
 def test_collapse_replaces_block_with_virtual_node():

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.dag.cuts import enumerate_frontier_cuts, is_downward_closed
-from repro.dag.topology import count_paths, separators
+from repro.dag.topology import count_paths, parallel_blocks, separators
+from repro.dag.transform import should_cluster_block
 from repro.nn.layers import Conv2d, ShapeError
 from repro.nn.zoo import inception_v4
 
@@ -84,6 +85,31 @@ def test_path_explosion_vs_frontier(incv4):
     sample = cuts[:: max(len(cuts) // 50, 1)]
     for cut in sample:
         assert is_downward_closed(incv4.graph, cut.mobile)
+
+
+#: Inception-v4's 19 non-trivial blocks, pinned by enumerating every
+#: interior cut: none clusters, since each module's 1x1 reductions ship
+#: less than its input tensor.
+NON_TRIVIAL_BLOCKS = (
+    ("stem.3.relu", "stem.concat1"),
+    ("stem.concat1", "stem.concat2"),
+    ("stem.concat2", "stem.concat3"),
+    ("stem.concat3", "A0.concat"),
+    *((f"A{i}.concat", f"A{i + 1}.concat") for i in range(3)),
+    ("A3.concat", "redA.concat"),
+    ("redA.concat", "B0.concat"),
+    *((f"B{i}.concat", f"B{i + 1}.concat") for i in range(6)),
+    ("B6.concat", "redB.concat"),
+    ("redB.concat", "C0.concat"),
+    ("C0.concat", "C1.concat"),
+    ("C1.concat", "C2.concat"),
+)
+
+
+def test_no_block_clusters(incv4):
+    blocks = [b for b in parallel_blocks(incv4.graph) if not b.is_trivial]
+    assert [(b.entry, b.exit) for b in blocks] == list(NON_TRIVIAL_BLOCKS)
+    assert [b for b in blocks if should_cluster_block(incv4.graph, b)] == []
 
 
 def test_separators_are_module_boundaries(incv4):
