@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 
 from repro.cloud.model import CloudGpuModel
 from repro.cloud.server import BATCHING_POLICIES, GPU_ASSIGNMENTS
-from repro.utils.validation import reject_unknown_keys, require_positive
+from repro.utils.codec import Codec
+from repro.utils.validation import require_positive
 
 __all__ = ["CloudConfig"]
 
 
 @dataclass(frozen=True)
-class CloudConfig:
+class CloudConfig(Codec):
     """Shared batching cloud: pool size, hold knobs, GPU model.
 
     ``assignment`` picks how servers map to pool GPUs:
@@ -54,28 +55,3 @@ class CloudConfig:
             raise ValueError(
                 f"unknown GPU assignment {self.assignment!r} (use {GPU_ASSIGNMENTS})"
             )
-
-    def as_dict(self) -> dict:
-        return {
-            "gpus": self.gpus,
-            "max_batch": self.max_batch,
-            "max_wait": self.max_wait,
-            "policy": self.policy,
-            "assignment": self.assignment,
-            "model": self.model.as_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CloudConfig":
-        reject_unknown_keys(data, cls)
-        model = data.get("model")
-        return cls(
-            gpus=data.get("gpus", 1),
-            max_batch=data.get("max_batch", 8),
-            max_wait=data.get("max_wait", 0.02),
-            policy=data.get("policy", "batch"),
-            assignment=data.get("assignment", "least_queued"),
-            model=(
-                CloudGpuModel() if model is None else CloudGpuModel.from_dict(model)
-            ),
-        )

@@ -35,13 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.utils.validation import reject_unknown_keys, require_positive
+from repro.utils.codec import Codec
+from repro.utils.validation import require_positive
 
 __all__ = ["CloudGpuModel"]
 
 
 @dataclass(frozen=True)
-class CloudGpuModel:
+class CloudGpuModel(Codec):
     """Analytic throughput curve of one batching cloud GPU.
 
     ``overhead_fraction`` — share of a solo inference that is per-batch
@@ -127,7 +128,7 @@ class CloudGpuModel:
         return curve
 
     # ------------------------------------------------------------------
-    # calibration + wire format
+    # calibration
     # ------------------------------------------------------------------
     @classmethod
     def calibrate(
@@ -159,20 +160,4 @@ class CloudGpuModel:
             name=f"{device.name}-{model}-batching",
             overhead_fraction=fraction,
             speedup=speedup,
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "overhead_fraction": self.overhead_fraction,
-            "speedup": self.speedup,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CloudGpuModel":
-        reject_unknown_keys(data, cls)
-        return cls(
-            name=data.get("name", "batching-gpu"),
-            overhead_fraction=data.get("overhead_fraction", 0.35),
-            speedup=data.get("speedup", 1.0),
         )

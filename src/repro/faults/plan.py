@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.net.timeline import BandwidthTimeline
+from repro.utils.codec import Codec, positional
 from repro.utils.rng import DEFAULT_SEED
 from repro.utils.validation import (
-    reject_unknown_keys,
     require_in_range,
     require_non_negative,
     require_positive,
@@ -47,6 +47,7 @@ __all__ = [
 BLACKOUT_BPS = 1e-3
 
 
+@positional
 @dataclass(frozen=True)
 class Blackout:
     """Uplink blackout/stall window: the channel carries ~nothing.
@@ -69,6 +70,7 @@ class Blackout:
         return self.end - self.start
 
 
+@positional
 @dataclass(frozen=True)
 class RateSpike:
     """Multiplicative bandwidth window: ``factor`` > 1 spikes, < 1 sags."""
@@ -104,6 +106,7 @@ class TransferCorruption:
             raise ValueError(f"corruption end {self.end} must be > start {self.start}")
 
 
+@positional
 @dataclass(frozen=True)
 class ClientOutage:
     """One client's requests never reach the gateway on ``[start, end)``."""
@@ -149,7 +152,7 @@ class CostMisestimation:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Codec):
     """A seeded, composable fault schedule for one serving run."""
 
     seed: int = DEFAULT_SEED
@@ -199,47 +202,4 @@ class FaultPlan:
             and not self.outages
             and (self.corruption is None or self.corruption.probability == 0.0)
             and (self.misestimation is None or self.misestimation.is_noop)
-        )
-
-    def as_dict(self) -> dict:
-        """JSON-safe echo, embedded in fault-scenario reports."""
-        out: dict = {"seed": self.seed}
-        if self.blackouts:
-            out["blackouts"] = [[b.start, b.end] for b in self.blackouts]
-        if self.spikes:
-            out["spikes"] = [[s.start, s.end, s.factor] for s in self.spikes]
-        if self.corruption is not None:
-            out["corruption"] = {
-                "probability": self.corruption.probability,
-                "start": self.corruption.start,
-                "end": self.corruption.end,
-            }
-        if self.outages:
-            out["outages"] = [[o.client_id, o.start, o.end] for o in self.outages]
-        if self.misestimation is not None:
-            out["misestimation"] = {
-                "compute_scale": self.misestimation.compute_scale,
-                "payload_scale": self.misestimation.payload_scale,
-                "jitter": self.misestimation.jitter,
-            }
-        if self.metadata:
-            out["metadata"] = dict(self.metadata)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        """Inverse of :meth:`as_dict` (the ``SystemConfig`` wire format)."""
-        reject_unknown_keys(data, cls)
-        corruption = data.get("corruption")
-        misestimation = data.get("misestimation")
-        return cls(
-            seed=data.get("seed", DEFAULT_SEED),
-            blackouts=tuple(Blackout(*b) for b in data.get("blackouts", ())),
-            spikes=tuple(RateSpike(*s) for s in data.get("spikes", ())),
-            corruption=None if corruption is None else TransferCorruption(**corruption),
-            outages=tuple(ClientOutage(*o) for o in data.get("outages", ())),
-            misestimation=(
-                None if misestimation is None else CostMisestimation(**misestimation)
-            ),
-            metadata=dict(data.get("metadata", {})),
         )

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.utils.codec import Codec
 from repro.utils.validation import require_non_negative, require_positive
 
 __all__ = ["ResiliencePolicy"]
 
 
 @dataclass(frozen=True)
-class ResiliencePolicy:
+class ResiliencePolicy(Codec):
     """Opt-in fault responses for :class:`~repro.serving.gateway.Gateway`."""
 
     max_retries: int = 2
@@ -67,22 +68,3 @@ class ResiliencePolicy:
             self.probe_timeout if self.probe_timeout is not None
             else self.transfer_timeout
         )
-
-    def as_dict(self) -> dict:
-        """JSON-safe echo for fault-scenario reports."""
-        return {
-            "max_retries": self.max_retries,
-            "backoff_base": self.backoff_base,
-            "backoff_factor": self.backoff_factor,
-            "transfer_timeout": self.transfer_timeout,
-            "degrade_after_failures": self.degrade_after_failures,
-            "local_fallback": self.local_fallback,
-            "probe_interval": self.probe_interval,
-            "probe_bytes": self.probe_bytes,
-            "probe_timeout": self.probe_timeout,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResiliencePolicy":
-        """Inverse of :meth:`as_dict` (the ``SystemConfig`` wire format)."""
-        return cls(**data)

@@ -26,10 +26,10 @@ The hierarchy mirrors the questions a run must answer:
 * :class:`ObservabilityConfig` — per-server trace lanes and fleet
   placement/migration instant events.
 
-Every ``from_dict`` rejects a key it does not know (through
-:func:`~repro.utils.validation.reject_unknown_keys`, or the dataclass
-constructor where it takes the dict as keywords), so a misspelled knob
-fails loudly instead of silently keeping its default.
+Every class takes ``as_dict`` / ``from_dict`` from the strict
+:class:`~repro.utils.codec.Codec`: a key it does not know or a value of
+the wrong JSON type is a :class:`ValueError`, so a misspelled or
+mistyped knob fails loudly instead of silently keeping its default.
 
 :func:`repro.fleet.run_system` executes a :class:`SystemConfig` and
 returns a :class:`~repro.fleet.fleet.SystemReport`. The builders below
@@ -47,12 +47,13 @@ from repro.cloud.model import CloudGpuModel
 from repro.faults.plan import Blackout, FaultPlan
 from repro.faults.policy import ResiliencePolicy
 from repro.net.channel import DEFAULT_HEADER_BYTES, DEFAULT_SETUP_LATENCY
-from repro.obs.slo import SloConfig, default_slos
 from repro.net.timeline import BandwidthTimeline
+from repro.obs.slo import SloConfig, default_slos
 from repro.serving.gateway import GATEWAY_SCHEMES
 from repro.serving.workload import ClientSpec
+from repro.utils.codec import Codec
 from repro.utils.rng import DEFAULT_SEED
-from repro.utils.validation import reject_unknown_keys, require_positive
+from repro.utils.validation import require_positive
 
 __all__ = [
     "PLACEMENT_POLICIES",
@@ -80,18 +81,6 @@ __all__ = [
 PLACEMENT_POLICIES = ("least_loaded", "affinity", "eft")
 
 
-def _client_as_dict(client: ClientSpec) -> dict:
-    return {
-        "name": client.name,
-        "model": client.model,
-        "process": client.process,
-        "rate": client.rate,
-        "burst_size": client.burst_size,
-        "period": client.period,
-        "deadline": client.deadline,
-    }
-
-
 def _poisson_clients(
     count: int, model: str, rate: float, deadline: float | None
 ) -> tuple[ClientSpec, ...]:
@@ -108,7 +97,7 @@ def _poisson_clients(
 
 
 @dataclass(frozen=True)
-class WorkloadConfig:
+class WorkloadConfig(Codec):
     """The request side of a system run: clients, horizon, and seed."""
 
     clients: tuple[ClientSpec, ...]
@@ -121,25 +110,9 @@ class WorkloadConfig:
             raise ValueError("need at least one client")
         require_positive(self.horizon, "horizon")
 
-    def as_dict(self) -> dict:
-        return {
-            "clients": [_client_as_dict(c) for c in self.clients],
-            "horizon": self.horizon,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkloadConfig":
-        reject_unknown_keys(data, cls)
-        return cls(
-            clients=tuple(ClientSpec(**c) for c in data["clients"]),
-            horizon=data.get("horizon", 60.0),
-            seed=data.get("seed", DEFAULT_SEED),
-        )
-
 
 @dataclass(frozen=True)
-class ChannelConfig:
+class ChannelConfig(Codec):
     """Estimator + framing constants shared by every server uplink."""
 
     ewma_alpha: float = 0.3
@@ -148,22 +121,9 @@ class ChannelConfig:
     header_bytes: float = DEFAULT_HEADER_BYTES
     protocol_overhead: float = 1.05
 
-    def as_dict(self) -> dict:
-        return {
-            "ewma_alpha": self.ewma_alpha,
-            "drift_threshold": self.drift_threshold,
-            "setup_latency": self.setup_latency,
-            "header_bytes": self.header_bytes,
-            "protocol_overhead": self.protocol_overhead,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChannelConfig":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class ServerSpec:
+class ServerSpec(Codec):
     """One edge/cloud server of the fleet.
 
     ``bandwidth_steps`` is this server's own uplink trace (so PR 5
@@ -197,42 +157,9 @@ class ServerSpec:
         require_positive(self.max_queue_depth, "max_queue_depth")
         require_positive(self.nominal_burst, "nominal_burst")
 
-    def as_dict(self) -> dict:
-        out: dict = {
-            "name": self.name,
-            "bandwidth_steps": [list(s) for s in self.bandwidth_steps],
-            "mobile_speedup": self.mobile_speedup,
-            "cloud_speedup": self.cloud_speedup,
-            "max_queue_depth": self.max_queue_depth,
-            "nominal_burst": self.nominal_burst,
-            "include_cloud": self.include_cloud,
-        }
-        if self.fault_plan is not None:
-            out["fault_plan"] = self.fault_plan.as_dict()
-        if self.resilience is not None:
-            out["resilience"] = self.resilience.as_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServerSpec":
-        reject_unknown_keys(data, cls)
-        plan = data.get("fault_plan")
-        policy = data.get("resilience")
-        return cls(
-            name=data["name"],
-            bandwidth_steps=tuple(tuple(s) for s in data["bandwidth_steps"]),
-            mobile_speedup=data.get("mobile_speedup", 1.0),
-            cloud_speedup=data.get("cloud_speedup", 1.0),
-            max_queue_depth=data.get("max_queue_depth", 64),
-            nominal_burst=data.get("nominal_burst", 8),
-            include_cloud=data.get("include_cloud", True),
-            fault_plan=None if plan is None else FaultPlan.from_dict(plan),
-            resilience=None if policy is None else ResiliencePolicy.from_dict(policy),
-        )
-
 
 @dataclass(frozen=True)
-class PlacementConfig:
+class PlacementConfig(Codec):
     """How clients map to servers, and when a binding migrates.
 
     ``least_loaded`` and ``eft`` place every request independently
@@ -260,21 +187,9 @@ class PlacementConfig:
             require_positive(self.migration_backlog, "migration_backlog")
         require_positive(self.migration_patience, "migration_patience")
 
-    def as_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "migration_backlog": self.migration_backlog,
-            "migration_patience": self.migration_patience,
-            "migrate_on_degraded": self.migrate_on_degraded,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PlacementConfig":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class AdmissionConfig:
+class AdmissionConfig(Codec):
     """Fleet-level admission control, ahead of any per-server queue.
 
     ``max_fleet_outstanding`` caps the total admitted-but-unfinished
@@ -289,16 +204,9 @@ class AdmissionConfig:
         if self.max_fleet_outstanding is not None:
             require_positive(self.max_fleet_outstanding, "max_fleet_outstanding")
 
-    def as_dict(self) -> dict:
-        return {"max_fleet_outstanding": self.max_fleet_outstanding}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AdmissionConfig":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class FaultsConfig:
+class FaultsConfig(Codec):
     """Fleet-wide fault injection and resilience for a ``SystemConfig``.
 
     ``plan`` applies to every uplink that does not carry its own
@@ -313,28 +221,9 @@ class FaultsConfig:
     resilience: ResiliencePolicy | None = None
     compare_no_policy: bool = False
 
-    def as_dict(self) -> dict:
-        out: dict = {"compare_no_policy": self.compare_no_policy}
-        if self.plan is not None:
-            out["plan"] = self.plan.as_dict()
-        if self.resilience is not None:
-            out["resilience"] = self.resilience.as_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultsConfig":
-        reject_unknown_keys(data, cls)
-        plan = data.get("plan")
-        policy = data.get("resilience")
-        return cls(
-            plan=None if plan is None else FaultPlan.from_dict(plan),
-            resilience=None if policy is None else ResiliencePolicy.from_dict(policy),
-            compare_no_policy=data.get("compare_no_policy", False),
-        )
-
 
 @dataclass(frozen=True)
-class ObservabilityConfig:
+class ObservabilityConfig(Codec):
     """What the fleet emits into a live tracer.
 
     ``per_server_lanes`` names each gateway so its request/event lanes
@@ -354,42 +243,18 @@ class ObservabilityConfig:
 
     per_server_lanes: bool = True
     fleet_events: bool = True
-    telemetry: bool = False
-    telemetry_bucket: float = 0.5
+    # omitted at their defaults, so default config dumps keep their bytes
+    telemetry: bool = field(default=False, metadata={"omit_default": True})
+    telemetry_bucket: float = field(default=0.5, metadata={"omit_default": True})
     slos: tuple[SloConfig, ...] = ()
 
     def __post_init__(self) -> None:
         require_positive(self.telemetry_bucket, "telemetry_bucket")
         object.__setattr__(self, "slos", tuple(self.slos))
 
-    def as_dict(self) -> dict:
-        out: dict = {
-            "per_server_lanes": self.per_server_lanes,
-            "fleet_events": self.fleet_events,
-        }
-        # keys only when set, so default config dumps keep their bytes
-        if self.telemetry:
-            out["telemetry"] = True
-        if self.telemetry or self.telemetry_bucket != 0.5:
-            out["telemetry_bucket"] = self.telemetry_bucket
-        if self.slos:
-            out["slos"] = [s.as_dict() for s in self.slos]
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ObservabilityConfig":
-        reject_unknown_keys(data, cls)
-        return cls(
-            per_server_lanes=data.get("per_server_lanes", True),
-            fleet_events=data.get("fleet_events", True),
-            telemetry=data.get("telemetry", False),
-            telemetry_bucket=data.get("telemetry_bucket", 0.5),
-            slos=tuple(SloConfig.from_dict(s) for s in data.get("slos", ())),
-        )
-
 
 @dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(Codec):
     """One reproducible run of the whole system (see module docstring)."""
 
     workload: WorkloadConfig
@@ -454,42 +319,6 @@ class SystemConfig:
             else replace(self.faults, resilience=None, compare_no_policy=False)
         )
         return replace(self, servers=servers, faults=faults)
-
-    # ------------------------------------------------------------------
-    # wire format
-    # ------------------------------------------------------------------
-    def as_dict(self) -> dict:
-        out = {
-            "workload": self.workload.as_dict(),
-            "servers": [s.as_dict() for s in self.servers],
-            "scheme": self.scheme,
-            "placement": self.placement.as_dict(),
-            "admission": self.admission.as_dict(),
-            "channel": self.channel.as_dict(),
-            "observability": self.observability.as_dict(),
-        }
-        if self.faults is not None:
-            out["faults"] = self.faults.as_dict()
-        if self.cloud is not None:
-            out["cloud"] = self.cloud.as_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SystemConfig":
-        reject_unknown_keys(data, cls)
-        faults = data.get("faults")
-        cloud = data.get("cloud")
-        return cls(
-            workload=WorkloadConfig.from_dict(data["workload"]),
-            servers=tuple(ServerSpec.from_dict(s) for s in data["servers"]),
-            scheme=data.get("scheme", "JPS"),
-            placement=PlacementConfig.from_dict(data.get("placement", {})),
-            admission=AdmissionConfig.from_dict(data.get("admission", {})),
-            channel=ChannelConfig.from_dict(data.get("channel", {})),
-            faults=None if faults is None else FaultsConfig.from_dict(faults),
-            cloud=None if cloud is None else CloudConfig.from_dict(cloud),
-            observability=ObservabilityConfig.from_dict(data.get("observability", {})),
-        )
 
 
 def default_scenario(

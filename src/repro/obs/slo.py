@@ -34,6 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
+from repro.utils.codec import Codec
 from repro.utils.validation import require_positive
 
 __all__ = [
@@ -51,7 +52,7 @@ SLO_LANE = ("fleet", "slo")
 
 
 @dataclass(frozen=True)
-class SloConfig:
+class SloConfig(Codec):
     """One windowed objective + its burn-rate alert policy.
 
     ``target`` is the good-outcome fraction the objective demands (the
@@ -90,21 +91,6 @@ class SloConfig:
     def budget(self) -> float:
         """The error budget: tolerable bad-outcome fraction."""
         return 1.0 - self.target
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "target": self.target,
-            "window": self.window,
-            "fast_window": self.fast_window,
-            "burn_threshold": self.burn_threshold,
-            "min_events": self.min_events,
-            "bucket_width": self.bucket_width,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SloConfig":
-        return cls(**data)
 
 
 def default_slos() -> tuple[SloConfig, ...]:

@@ -7,23 +7,13 @@ scheduling loop.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import fields
+from collections.abc import Iterable, Sequence
 
 
 def require(condition: bool, message: str) -> None:
     """Raise :class:`ValueError` with ``message`` unless ``condition``."""
     if not condition:
         raise ValueError(message)
-
-
-def reject_unknown_keys(data: Mapping, cls: type) -> None:
-    """Raise :class:`ValueError` naming every key of ``data`` that is not
-    a field of the dataclass ``cls`` (a hand-written ``from_dict`` must
-    not silently drop a misspelled key)."""
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
 
 
 def require_positive(value: float, name: str) -> float:

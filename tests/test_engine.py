@@ -122,15 +122,25 @@ def test_collected_network_ids_do_not_leak_fingerprints(engine):
         for name in names
     }
     mismatches = 0
+    seen_ids: set[int] = set()
+    reused_ids = 0
     for i in range(200):
         name = names[i % 2]
-        cached = engine.plan(get_model(name), 10, channel)
+        network = get_model(name)
+        reused_ids += id(network) in seen_ids
+        seen_ids.add(id(network))
+        cached = engine.plan(network, 10, channel)
+        del network
         mismatches += (cached.method, cached.makespan) != (
             direct[name].method,
             direct[name].makespan,
         )
-        gc.collect()
+        # the young generation holds the dead network's cycles; a full
+        # collection would also rescan everything earlier tests left alive
+        gc.collect(0)
     assert mismatches == 0
+    # the loop did allocate a network at a collected network's id
+    assert reused_ids > 0
     assert len(engine._fingerprints) <= len(names)
 
 

@@ -4,7 +4,8 @@ A run is *one* document:
 ``SystemConfig.from_dict(json.loads(json.dumps(cfg.as_dict()))) == cfg``
 must hold for every combination of blocks, including per-server fault
 plans and the FaultsConfig sub-config. Decoding is strict: a key no
-``from_dict`` knows is an error, never a silently kept default.
+``from_dict`` knows, or a value of the wrong JSON type, is an error,
+never a silently kept default.
 """
 
 import json
@@ -25,6 +26,7 @@ from repro.faults.plan import (
 from repro.faults.policy import ResiliencePolicy
 from repro.fleet import (
     AdmissionConfig,
+    ChannelConfig,
     FaultsConfig,
     ObservabilityConfig,
     PlacementConfig,
@@ -38,6 +40,7 @@ from repro.fleet import (
     default_scenario,
     with_slo_telemetry,
 )
+from repro.obs.slo import SloConfig
 from repro.serving.workload import ClientSpec
 
 
@@ -122,12 +125,43 @@ def test_default_observability_dump_keeps_its_bytes():
         (CloudConfig, {"gpu": 4}, "gpu"),
         (CloudGpuModel, {"sped": 2.0}, "sped"),
         (FaultPlan, {"blackout": [[1.0, 2.0]]}, "blackout"),
+        (ChannelConfig, {"ewma_alpa": 0.5}, "ewma_alpa"),
+        (PlacementConfig, {"polcy": "eft"}, "polcy"),
+        (AdmissionConfig, {"max_fleet_outstandng": 3}, "max_fleet_outstandng"),
+        (ResiliencePolicy, {"max_retry": 1}, "max_retry"),
+        (SloConfig, {"targt": 0.5}, "targt"),
+        # a typo one level down, inside a client and inside a fault record
+        (WorkloadConfig, {"clients": [{"name": "c", "rat": 2.0}]}, "rat"),
+        (FaultPlan, {"corruption": {"probability": 0.1, "strt": 1.0}}, "strt"),
     ],
     ids=lambda value: value.__name__ if isinstance(value, type) else None,
 )
 def test_from_dict_rejects_a_misspelled_key(cls, data, typo):
     with pytest.raises(ValueError, match=typo):
         cls.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    ("cls", "data", "where"),
+    [
+        (ServerSpec, {"name": "a", "include_cloud": "false"}, "ServerSpec.include_cloud"),
+        (ServerSpec, {"name": "a", "max_queue_depth": True}, "ServerSpec.max_queue_depth"),
+        (
+            WorkloadConfig,
+            {"clients": [{"name": "c"}], "horizon": "60"},
+            "WorkloadConfig.horizon",
+        ),
+        (FaultsConfig, {"compare_no_policy": 1}, "FaultsConfig.compare_no_policy"),
+    ],
+    ids=lambda value: value.__name__ if isinstance(value, type) else None,
+)
+def test_from_dict_rejects_a_wrong_json_type(cls, data, where):
+    with pytest.raises(ValueError, match=where):
+        cls.from_dict(data)
+
+
+def test_from_dict_takes_the_field_default_for_a_missing_key():
+    assert ServerSpec.from_dict({"name": "a"}) == ServerSpec(name="a")
 
 
 def test_builders_round_trip_and_are_json_safe():

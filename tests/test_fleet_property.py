@@ -6,9 +6,11 @@ small ``run_system`` call and asserts the federation's load-bearing
 guarantee: the per-server outcome sums (served + degraded + dropped +
 pending), plus fleet-level admission rejects, tile the fleet arrival
 count exactly. No request is lost or double-counted by placement,
-migration, or admission, under any fault plan on any uplink.
+migration, or admission, under any fault plan on any uplink. Each drawn
+config also survives the JSON wire unchanged.
 """
 
+import json
 import warnings
 
 from hypothesis import HealthCheck, given, settings
@@ -85,6 +87,12 @@ def fleet_configs(draw) -> SystemConfig:
 )
 @given(config=fleet_configs())
 def test_server_outcomes_tile_fleet_arrivals(config):
+    # the drawn config survives the JSON wire, and the wire is a fixed point
+    wire = json.dumps(config.as_dict(), sort_keys=True)
+    rebuilt = SystemConfig.from_dict(json.loads(wire))
+    assert rebuilt == config
+    assert json.dumps(rebuilt.as_dict(), sort_keys=True) == wire
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)  # new API never warns
         report = run_system(config, planner=PLANNER)
